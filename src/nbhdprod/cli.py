@@ -30,6 +30,11 @@ from .sampling import (finite_com_sweep, fusion_soundness_sweep,
 LEMMAS = ("fractal", "chain", "ff-morphism", "g-morphism", "nf-agreement",
           "fusion-axioms", "axiom-evidence", "finite-com", "lex")
 KINDS = tuple(k.value for k in FrameKind)
+# the smallest --depth on which a window lemma checks more than trivia: below
+# it chain, ff-morphism and axiom-evidence see only the zero sequence, and
+# g-morphism and lex have no admissible base-set index
+MIN_DEPTH = {"chain": 1, "ff-morphism": 1, "axiom-evidence": 1,
+             "g-morphism": 2, "lex": 2}
 
 
 def _emit(data: Mapping[str, Any], args: argparse.Namespace) -> None:
@@ -155,6 +160,10 @@ def _lex_suite(kind: FrameKind, branching: int, depth: int,
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     bounds = _parse_bounds(args.bounds)
+    floor = MIN_DEPTH.get(args.lemma)
+    if floor is not None and args.depth < floor:
+        raise ValueError(f"--lemma {args.lemma} needs --depth >= {floor}, "
+                         f"got {args.depth}")
     kind = FrameKind(args.kind)
     kind1 = FrameKind(args.kind1) if args.kind1 else kind
     kind2 = FrameKind(args.kind2) if args.kind2 else kind

@@ -201,13 +201,19 @@ def fusion_word_rel(frame1: SymbolicTreeFrame, frame2: SymbolicTreeFrame,
         raise ValueError(f"modality index {i} out of range (1, 2)")
     if u.branchings != (frame1.branching, frame2.branching) or u.branchings != v.branchings:
         raise ValueError("tagged word branchings do not match the frames")
-    if len(v) < len(u) or v.letters[:len(u)] != u.letters:
+    frame = frame1 if i == 1 else frame2
+    return _fusion_rel_on_tuples(frame.kind, i, u.letters, v.letters)
+
+
+def _fusion_rel_on_tuples(kind: FrameKind, i: int, u: tuple[tuple[int, int], ...],
+                          v: tuple[tuple[int, int], ...]) -> bool:
+    """fusion_word_rel on raw letter tuples; kind is the kind of side i."""
+    if len(v) < len(u) or v[:len(u)] != u:
         return False
-    z = v.letters[len(u):]
+    z = v[len(u):]
     if any(side != i for side, _ in z):
         return False
-    frame = frame1 if i == 1 else frame2
-    return _rel_on_tuples(frame.kind, (), tuple(letter for _, letter in z))
+    return _rel_on_tuples(kind, (), tuple(letter for _, letter in z))
 
 
 # --- finite Kripke frames -----------------------------------------------------

@@ -19,12 +19,13 @@ witnesses, never by sampling.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .kripke import (FrameKind, SymbolicTreeFrame, TaggedWord, Word,
-                     _rel_on_tuples, enumerate_tagged_words, enumerate_words,
-                     fusion_word_rel)
+                     _fusion_rel_on_tuples, _rel_on_tuples,
+                     enumerate_tagged_words, enumerate_words)
 from .report import BudgetExceeded, Stopwatch, VerificationReport
 
 DEFAULT_SEQ_BUDGET = 2_000_000
@@ -100,21 +101,36 @@ def lift(w: Word) -> PseudoSeq:
     return PseudoSeq(w.letters, w.branching, w.signed)
 
 
-def enumerate_pseudo(branching: int, d: int, signed: bool = False, *,
-                     budget: int = DEFAULT_SEQ_BUDGET) -> list[PseudoSeq]:
-    """All sequences with support inside the first d positions, in shortlex
-    order of the canonical stored tuples."""
+def _canon(entries: tuple[int, ...]) -> tuple[int, ...]:
+    """Strip trailing zeros: the stored form of a finite entry list."""
+    end = len(entries)
+    while end and entries[end - 1] == 0:
+        end -= 1
+    return entries[:end]
+
+
+def _enumerate_stored(branching: int, d: int, signed: bool,
+                      budget: int) -> list[tuple[int, ...]]:
+    """Stored tuples of enumerate_pseudo, same order and budget check."""
     alphabet = tuple(range(-branching, branching + 1)) if signed \
         else tuple(range(branching + 1))
     if len(alphabet) ** d > budget:
         raise BudgetExceeded(f"{len(alphabet) ** d} sequences exceeds budget {budget}")
     nonzero = tuple(x for x in alphabet if x != 0)
-    out = [PseudoSeq((), branching, signed)]
+    out: list[tuple[int, ...]] = [()]
     for length in range(1, d + 1):
         for head in itertools.product(alphabet, repeat=length - 1):
             for last in nonzero:
-                out.append(PseudoSeq(head + (last,), branching, signed))
+                out.append(head + (last,))
     return out
+
+
+def enumerate_pseudo(branching: int, d: int, signed: bool = False, *,
+                     budget: int = DEFAULT_SEQ_BUDGET) -> list[PseudoSeq]:
+    """All sequences with support inside the first d positions, in shortlex
+    order of the canonical stored tuples."""
+    return [PseudoSeq(stored, branching, signed)
+            for stored in _enumerate_stored(branching, d, signed, budget)]
 
 
 @dataclass
@@ -140,7 +156,7 @@ def _u_fast(kind: FrameKind, a_stored: tuple[int, ...], a_fw: tuple[int, ...],
 
 
 def _fw(stored: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x for x in stored if x != 0)
+    return tuple(filter(None, stored))
 
 
 def u_contains(frame: SymbolicTreeFrame, alpha: PseudoSeq, k: int,
@@ -166,6 +182,54 @@ def _seq_json(alpha: PseudoSeq) -> list[int]:
     return list(alpha.stored)
 
 
+class MembershipTable:
+    """U_k membership over one enumeration window of stored tuples.
+
+    Every member of U_k(a) agrees with a up to m = max(k, st(a)), so the
+    window is bucketed once per m by the zero-padded prefix of length m; the
+    row of a at k is a's bucket filtered by the tree relation on the
+    zero-forgotten words. Anchors need not lie in the window. Buckets and
+    rows are built on first use, so a sweep that stops early pays only for
+    the anchors it reached.
+    """
+
+    def __init__(self, kind: FrameKind, window: Sequence[tuple[int, ...]]):
+        self.kind = kind
+        self.window = window
+        self.words = [_fw(stored) for stored in window]
+        self._buckets: dict[int, dict[tuple[int, ...], list[int]]] = {}
+        self._rows: dict[tuple[tuple[int, ...], int], list[int]] = {}
+        self._masks: dict[tuple[tuple[int, ...], int], int] = {}
+
+    def members(self, anchor: tuple[int, ...], k: int) -> list[int]:
+        """Window indices of U_k(anchor), ascending."""
+        m = max(k, len(anchor) + 1)
+        row = self._rows.get((anchor, m))
+        if row is None:
+            buckets = self._buckets.get(m)
+            if buckets is None:
+                buckets = {}
+                for bi, stored in enumerate(self.window):
+                    buckets.setdefault(_prefix_tuple(stored, m), []).append(bi)
+                self._buckets[m] = buckets
+            a_fw, kind, words = _fw(anchor), self.kind, self.words
+            row = [bi for bi in buckets.get(_prefix_tuple(anchor, m), ())
+                   if _rel_on_tuples(kind, a_fw, words[bi])]
+            self._rows[(anchor, m)] = row
+        return row
+
+    def mask(self, anchor: tuple[int, ...], k: int) -> int:
+        """U_k(anchor) as a bitmask over window indices."""
+        key = (anchor, max(k, len(anchor) + 1))
+        mask = self._masks.get(key)
+        if mask is None:
+            mask = 0
+            for bi in self.members(anchor, k):
+                mask |= 1 << bi
+            self._masks[key] = mask
+        return mask
+
+
 # --- chain lemma -----------------------------------------------------------------
 
 def check_chain(frame: SymbolicTreeFrame, d: int, k_max: int, *,
@@ -182,16 +246,10 @@ def check_chain(frame: SymbolicTreeFrame, d: int, k_max: int, *,
         params={"kind": frame.kind.value, "branching": frame.branching, "d": d,
                 "k_max": k_max, "reverse_inclusion": reverse_inclusion})
     with Stopwatch(report):
-        universe = enumerate_pseudo(frame.branching, d, budget=budget)
-        cooked = [(a.stored, _fw(a.stored)) for a in universe]
-        for ai, (a_stored, a_fw) in enumerate(cooked):
-            masks = []
-            for k in range(k_max + 1):
-                mask = 0
-                for bi, (b_stored, b_fw) in enumerate(cooked):
-                    if _u_fast(frame.kind, a_stored, a_fw, b_stored, b_fw, k):
-                        mask |= 1 << bi
-                masks.append(mask)
+        window = _enumerate_stored(frame.branching, d, False, budget)
+        table = MembershipTable(frame.kind, window)
+        for a_stored in window:
+            masks = [table.mask(a_stored, k) for k in range(k_max + 1)]
             for m in range(k_max + 1):
                 for k in range(m, k_max + 1):
                     report.checked += 1
@@ -200,8 +258,8 @@ def check_chain(frame: SymbolicTreeFrame, d: int, k_max: int, *,
                     stray = small & ~large
                     if stray:
                         bi = stray.bit_length() - 1
-                        report.fail({"alpha": _seq_json(universe[ai]), "m": m, "k": k,
-                                     "beta": _seq_json(universe[bi])})
+                        report.fail({"alpha": list(a_stored), "m": m, "k": k,
+                                     "beta": list(window[bi])})
                         return report
     return report
 
@@ -231,36 +289,38 @@ def verify_ff_morphism(frame: SymbolicTreeFrame, d: int, *,
                 report.checked = surjectivity + forward + covering
                 report.fail({"layer": "surjectivity", "word": list(w.letters)})
                 return report
-        universe = enumerate_pseudo(frame.branching, d, budget=budget)
-        cooked = [(a.stored, _fw(a.stored)) for a in universe]
-        for ai, (a_stored, a_fw) in enumerate(cooked):
+        kind = frame.kind
+        window = _enumerate_stored(frame.branching, d, False, budget)
+        table = MembershipTable(kind, window)
+        # R-successors inside the window, per zero-forgotten anchor
+        successors: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for a_stored, a_fw in zip(window, table.words):
+            targets = successors.get(a_fw)
+            if targets is None:
+                targets = [w.letters for w in words
+                           if _rel_on_tuples(kind, a_fw, w.letters)]
+                successors[a_fw] = targets
             for k in range(d + 1):
-                for bi, (b_stored, b_fw) in enumerate(cooked):
-                    if not _u_fast(frame.kind, a_stored, a_fw, b_stored, b_fw, k):
-                        continue
+                for bi in table.members(a_stored, k):
                     forward += 1
-                    if not _rel_on_tuples(frame.kind, a_fw, b_fw):
+                    if not _rel_on_tuples(kind, a_fw, table.words[bi]):
                         report.checked = surjectivity + forward + covering
                         report.fail({"layer": "forward",
                                      "alpha": list(a_stored), "k": k,
-                                     "beta": list(b_stored)})
+                                     "beta": list(window[bi])})
                         return report
-                m = max(k, len(a_stored) + 1)
-                for w in words:
-                    if not _rel_on_tuples(frame.kind, a_fw, w.letters):
-                        continue
+                head = _prefix_tuple(a_stored, max(k, len(a_stored) + 1))
+                for target in targets:
                     covering += 1
-                    suffix = w.letters[len(a_fw):]
-                    beta = pseudo(_prefix_tuple(a_stored, m) + suffix, frame.branching)
-                    ok = (_u_fast(frame.kind, a_stored, a_fw,
-                                  beta.stored, _fw(beta.stored), k)
-                          and _fw(beta.stored) == w.letters)
-                    if not ok:
+                    beta = _canon(head + target[len(a_fw):])
+                    beta_fw = _fw(beta)
+                    if not (_u_fast(kind, a_stored, a_fw, beta, beta_fw, k)
+                            and beta_fw == target):
                         report.checked = surjectivity + forward + covering
                         report.fail({"layer": "covering",
                                      "alpha": list(a_stored), "k": k,
-                                     "target": list(w.letters),
-                                     "witness": _seq_json(beta)})
+                                     "target": list(target),
+                                     "witness": list(beta)})
                         return report
         report.checked = surjectivity + forward + covering
         report.params["layers"] = {"surjectivity": surjectivity,
@@ -300,58 +360,42 @@ def axiom_evidence(frame: SymbolicTreeFrame, d: int, evidence: str | None = None
         params={"kind": frame.kind.value, "branching": frame.branching, "d": d,
                 "evidence": kinds})
     with Stopwatch(report):
-        universe = enumerate_pseudo(frame.branching, d, budget=budget)
-        cooked = [(a.stored, _fw(a.stored)) for a in universe]
+        window = _enumerate_stored(frame.branching, d, False, budget)
+        table = MembershipTable(frame.kind, window)
         if "d" in kinds:
-            for a_stored, a_fw in cooked:
+            for a_stored, a_fw in zip(window, table.words):
                 for k in range(d + 1):
                     report.checked += 1
                     m = max(k, len(a_stored) + 1)
-                    wit = pseudo(_prefix_tuple(a_stored, m) + (1,), frame.branching)
-                    if not _u_fast(frame.kind, a_stored, a_fw,
-                                   wit.stored, _fw(wit.stored), k):
+                    wit = _prefix_tuple(a_stored, m) + (1,)
+                    if not _u_fast(frame.kind, a_stored, a_fw, wit, _fw(wit), k):
                         report.fail({"evidence": "d", "alpha": list(a_stored),
-                                     "k": k, "witness": _seq_json(wit)})
+                                     "k": k, "witness": list(wit)})
                         return report
         if "t" in kinds:
-            for a_stored, a_fw in cooked:
+            for a_stored, a_fw in zip(window, table.words):
                 for k in range(d + 1):
                     report.checked += 1
                     if not _u_fast(frame.kind, a_stored, a_fw, a_stored, a_fw, k):
                         report.fail({"evidence": "t", "alpha": list(a_stored), "k": k})
                         return report
         if "four" in kinds:
-            # membership masks for every point at every index this sweep needs
-            max_k = d + 1
-            masks: list[list[int]] = []
-            for a_stored, a_fw in cooked:
-                row = []
-                for k in range(max_k + 1):
-                    mask = 0
-                    for bi, (b_stored, b_fw) in enumerate(cooked):
-                        if _u_fast(frame.kind, a_stored, a_fw, b_stored, b_fw, k):
-                            mask |= 1 << bi
-                    row.append(mask)
-                masks.append(row)
-            for ai, (a_stored, a_fw) in enumerate(cooked):
+            for a_stored in window:
                 for m in range(d + 1):
                     big_m = max(m, len(a_stored) + 1)
-                    members = masks[ai][m]
-                    yi_mask = members
-                    while yi_mask:
-                        yi = yi_mask.bit_length() - 1
-                        yi_mask &= ~(1 << yi)
-                        y_stored, _ = cooked[yi]
-                        # big_m <= d + 1 and st(y) <= d + 1, so ky stays in the table
-                        ky = max(big_m, len(y_stored) + 1)
+                    members = table.mask(a_stored, m)
+                    # highest window index first
+                    for yi in reversed(table.members(a_stored, m)):
+                        y_stored = window[yi]
                         report.checked += 1
-                        stray = masks[yi][ky] & ~members
+                        stray = table.mask(y_stored, max(big_m, len(y_stored) + 1)) \
+                            & ~members
                         if stray:
                             bi = stray.bit_length() - 1
                             report.fail({"evidence": "four",
                                          "alpha": list(a_stored), "m": m,
-                                         "y": _seq_json(universe[yi]),
-                                         "z": _seq_json(universe[bi])})
+                                         "y": list(y_stored),
+                                         "z": list(window[bi])})
                             return report
     return report
 
@@ -368,19 +412,21 @@ def point_json(p: ProductPoint) -> dict[str, list[int]]:
     return {"first": _seq_json(p.first), "second": _seq_json(p.second)}
 
 
-def g_map(p: ProductPoint) -> TaggedWord:
-    """Interleave the coordinates position by position (first coordinate
-    before second), delete zeros, tag every surviving letter with its side."""
-    a, b = p.first.stored, p.second.stored
+def _interleave(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     letters: list[tuple[int, int]] = []
-    for slot in range(max(len(a), len(b))):
-        x = a[slot] if slot < len(a) else 0
-        y = b[slot] if slot < len(b) else 0
+    for x, y in itertools.zip_longest(a, b, fillvalue=0):
         if x:
             letters.append((1, x))
         if y:
             letters.append((2, y))
-    return TaggedWord(tuple(letters), (p.first.branching, p.second.branching))
+    return tuple(letters)
+
+
+def g_map(p: ProductPoint) -> TaggedWord:
+    """Interleave the coordinates position by position (first coordinate
+    before second), delete zeros, tag every surviving letter with its side."""
+    return TaggedWord(_interleave(p.first.stored, p.second.stored),
+                      (p.first.branching, p.second.branching))
 
 
 def g_preimage(z: TaggedWord) -> ProductPoint:
@@ -439,72 +485,81 @@ def verify_g_morphism(frame1: SymbolicTreeFrame, frame2: SymbolicTreeFrame,
                 report.fail({"layer": "surjectivity",
                              "tagged": [list(t) for t in z.letters]})
                 return report
-        side_universe = {1: enumerate_pseudo(b1, d, budget=budget),
-                         2: enumerate_pseudo(b2, d, budget=budget)}
-        side_frame = {1: frame1, 2: frame2}
+        kinds = {1: frame1.kind, 2: frame2.kind}
+        tables = {1: MembershipTable(frame1.kind,
+                                     _enumerate_stored(b1, d, False, budget)),
+                  2: MembershipTable(frame2.kind,
+                                     _enumerate_stored(b2, d, False, budget))}
         # successor words () R c per side, inside the window
         side_steps = {
-            i: [w for w in enumerate_words(side_frame[i].branching, d, budget=budget)
-                if _rel_on_tuples(side_frame[i].kind, (), w.letters)]
-            for i in (1, 2)}
-        g_cache: dict[tuple[PseudoSeq, PseudoSeq], TaggedWord] = {}
+            i: [(w.letters, tuple((i, x) for x in w.letters))
+                for w in enumerate_words(branching, d, budget=budget)
+                if _rel_on_tuples(kinds[i], (), w.letters)]
+            for i, branching in ((1, b1), (2, b2))}
+        g_cache: dict[tuple[tuple[int, ...], tuple[int, ...]],
+                      tuple[tuple[int, int], ...]] = {}
 
-        def g_of(a: PseudoSeq, b: PseudoSeq) -> TaggedWord:
+        def g_of(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
             hit = g_cache.get((a, b))
             if hit is None:
-                hit = g_map(ProductPoint(a, b))
+                hit = _interleave(a, b)
                 g_cache[(a, b)] = hit
             return hit
 
-        members_cache: dict[tuple[int, PseudoSeq, int], list[PseudoSeq]] = {}
+        witness_cache: dict[tuple[int, tuple[int, ...], int], list[tuple]] = {}
 
-        def members_of(i: int, anchor: PseudoSeq, m: int) -> list[PseudoSeq]:
+        def witnesses(i: int, anchor: tuple[int, ...], m: int) -> list[tuple]:
+            """Per step c on side i: c, its tagged form, the moved coordinate
+            prefix(anchor, m) + c, and whether that lies in U_m(anchor). None
+            of it depends on the pinned coordinate."""
             key = (i, anchor, m)
-            hit = members_cache.get(key)
+            hit = witness_cache.get(key)
             if hit is None:
-                frame = side_frame[i]
-                hit = [c for c in side_universe[i] if u_contains(frame, anchor, m, c)]
-                members_cache[key] = hit
+                head, anchor_fw, kind = _prefix_tuple(anchor, m), _fw(anchor), kinds[i]
+                hit = []
+                for c, tagged in side_steps[i]:
+                    moved = _canon(head + c)
+                    hit.append((c, tagged, moved,
+                                _u_fast(kind, anchor, anchor_fw, moved, _fw(moved), m)))
+                witness_cache[key] = hit
             return hit
 
-        for alpha in side_universe[1]:
-            for beta in side_universe[2]:
-                lo = max(alpha.st, beta.st) + 1
+        def point(a: tuple[int, ...], b: tuple[int, ...]) -> dict[str, list[int]]:
+            return {"first": list(a), "second": list(b)}
+
+        for alpha in tables[1].window:
+            for beta in tables[2].window:
+                lo = max(len(alpha), len(beta)) + 2  # max(st(alpha), st(beta)) + 1
                 if lo > d:
                     continue
                 image = g_of(alpha, beta)
                 for m in range(lo, d + 1):
                     for i in (1, 2):
-                        moving_anchor = alpha if i == 1 else beta
-                        for member in members_of(i, moving_anchor, m):
+                        kind, table = kinds[i], tables[i]
+                        anchor = alpha if i == 1 else beta
+                        for bi in table.members(anchor, m):
+                            member = table.window[bi]
                             q = (member, beta) if i == 1 else (alpha, member)
                             forward += 1
-                            if not fusion_word_rel(frame1, frame2, i, image,
-                                                   g_of(*q)):
+                            if not _fusion_rel_on_tuples(kind, i, image, g_of(*q)):
                                 report.checked = surjectivity + forward + covering
                                 report.fail({
                                     "layer": "forward", "modality": i, "m": m,
-                                    "point": point_json(ProductPoint(alpha, beta)),
-                                    "member": point_json(ProductPoint(*q))})
+                                    "point": point(alpha, beta),
+                                    "member": point(*q)})
                                 return report
-                        for c in side_steps[i]:
+                        for c, tagged, moved, inside in witnesses(i, anchor, m):
                             covering += 1
-                            target = image.letters + tuple((i, x) for x in c.letters)
-                            anchor = alpha if i == 1 else beta
-                            moved = pseudo(_prefix_tuple(anchor.stored, m) + c.letters,
-                                           anchor.branching)
-                            q = ProductPoint(moved, beta) if i == 1 \
-                                else ProductPoint(alpha, moved)
-                            ok = (product_u_contains(frame1, frame2, i,
-                                                     ProductPoint(alpha, beta), m, q)
-                                  and g_of(q.first, q.second).letters == target)
-                            if not ok:
+                            # the witness moves coordinate i only; the other
+                            # coordinate stays pinned at the base point's
+                            q = (moved, beta) if i == 1 else (alpha, moved)
+                            if not (inside and _interleave(*q) == image + tagged):
                                 report.checked = surjectivity + forward + covering
                                 report.fail({
                                     "layer": "covering", "modality": i, "m": m,
-                                    "point": point_json(ProductPoint(alpha, beta)),
-                                    "step": list(c.letters),
-                                    "witness": point_json(q)})
+                                    "point": point(alpha, beta),
+                                    "step": list(c),
+                                    "witness": point(*q)})
                                 return report
         report.checked = surjectivity + forward + covering
         report.params["layers"] = {"surjectivity": surjectivity,
@@ -560,6 +615,18 @@ def strict_bounds_witnesses(alpha: PseudoSeq) -> tuple[PseudoSeq, PseudoSeq]:
     return below, above
 
 
+def _count_below(keys: list[tuple[int, ...]], t: tuple[int, ...], width: int, *,
+                 inclusive: bool = False) -> int:
+    """How many window points lie lex-below t (or equal to it, if inclusive),
+    given the window's keys zero-padded to width and sorted. t may be longer
+    than width; its first nonzero entry past width then decides the ties."""
+    head = _prefix_tuple(t, width)
+    tail = next((x for x in t[width:] if x), 0)
+    if tail > 0 or (tail == 0 and inclusive):
+        return bisect_right(keys, head)
+    return bisect_left(keys, head)
+
+
 def lex_window_compare(frame: SymbolicTreeFrame, alpha: PseudoSeq, k: int, d: int, *,
                        k_max: int | None = None,
                        anchor_left_closed: bool = False,
@@ -581,6 +648,12 @@ def lex_window_compare(frame: SymbolicTreeFrame, alpha: PseudoSeq, k: int, d: in
     strictly below its center as long as the witness prefix fits the window,
     so control runs want k_max <= d - 1 (and st(alpha) <= d - 1); at larger
     k' the window collapses U_k'(alpha) to {alpha} and the violation hides.
+
+    Both layers work on ranks in the lex order of the window. Pairs (l, r)
+    are checked in shortlex order, k' in increasing order, and the first k'
+    that fits an interval is the one that discharges it, so checked, the
+    vacuous count and the first counterexample are those of the pairwise
+    sweep.
     """
     if not frame.kind.transitive:
         raise ValueError("order window checks need a transitive kind (it or rt)")
@@ -594,69 +667,70 @@ def lex_window_compare(frame: SymbolicTreeFrame, alpha: PseudoSeq, k: int, d: in
                 "alpha": _seq_json(alpha), "k": k, "d": d, "k_max": k_max,
                 "anchor_left_closed": anchor_left_closed})
     with Stopwatch(report):
-        universe = enumerate_pseudo(frame.branching, d, signed=True, budget=budget)
+        window = _enumerate_stored(frame.branching, d, True, budget)
+        table = MembershipTable(frame.kind, window)
+        # lex order of the window: rank[i] is the position of window[i]
+        width = max(d, 0) + 1
+        order = sorted(range(len(window)),
+                       key=lambda i: _prefix_tuple(window[i], width))
+        keys = [_prefix_tuple(window[i], width) for i in order]
+        rank = [0] * len(window)
+        for r, i in enumerate(order):
+            rank[i] = r
+        a_stored, a_fw = alpha.stored, _fw(alpha.stored)
         punctured = frame.kind is FrameKind.IT
-        m = max(k, alpha.st)
-        p = _prefix_tuple(alpha.stored, m)
-        left = pseudo(p + (-1,), frame.branching, signed=True)
-        right = pseudo(p + (1,), frame.branching, signed=True)
+        p = _prefix_tuple(a_stored, max(k, alpha.st))
         if punctured:
             report.checked += 1
-            if u_contains(frame, alpha, k, alpha):
+            if _u_fast(frame.kind, a_stored, a_fw, a_stored, a_fw, k):
                 report.fail({"layer": "interval-inside",
                              "reason": "alpha not excluded", "k": k})
                 return report
-        for gamma in universe:
-            if not (lex_compare(left, gamma) == -1 and lex_compare(gamma, right) == -1):
-                continue
+        start = _count_below(keys, p + (-1,), width, inclusive=True)
+        stop = _count_below(keys, p + (1,), width)
+        members = table.mask(a_stored, k)
+        for gi in sorted(order[start:stop]):
             report.checked += 1
-            ok = u_contains(frame, alpha, k, gamma) or (punctured and gamma == alpha)
-            if not ok:
+            if not (members >> gi & 1 or (punctured and window[gi] == a_stored)):
                 report.fail({"layer": "interval-inside", "k": k,
-                             "gamma": _seq_json(gamma)})
+                             "gamma": list(window[gi])})
                 return report
-        # min and max member of each U_k'(alpha) on the window: the interval
-        # test below only needs the extremes because intervals are convex
-        extremes: list[tuple[PseudoSeq, PseudoSeq] | None] = []
+        # lowest and highest rank of each U_k'(alpha) up to the first empty
+        # one, which discharges every interval that reaches it
+        live: list[tuple[int, int]] = []
         for kp in range(k_max + 1):
-            members = [x for x in universe if u_contains(frame, alpha, kp, x)]
-            if not members:
-                extremes.append(None)
-                continue
-            lo = hi = members[0]
-            for x in members[1:]:
-                if lex_compare(x, lo) == -1:
-                    lo = x
-                if lex_compare(hi, x) == -1:
-                    hi = x
-            extremes.append((lo, hi))
-        vacuous = 0
-        above = [x for x in universe if lex_compare(alpha, x) == -1]
+            ranks = [rank[i] for i in table.members(a_stored, kp)]
+            if not ranks:
+                break
+            live.append((min(ranks), max(ranks)))
+        has_empty = len(live) < k_max + 1
+        a_below = _count_below(keys, a_stored, width)
+        a_upto = _count_below(keys, a_stored, width, inclusive=True)
+        above = [i for i in range(len(window)) if rank[i] >= a_upto]
+        # a live U_k' fits (l, r) iff l < its lowest member and its highest
+        # member < r, so (l, r) is discharged by a live k' iff rank(r) exceeds
+        # reach(l), the least highest member over the k' that fit on the left.
+        # Every other pair runs into the first empty U_k' (vacuous) or, when
+        # there is none, fails.
+        last = len(window) - 1
         if anchor_left_closed:
-            pairs: Iterable[tuple[PseudoSeq, PseudoSeq]] = ((alpha, r) for r in above)
+            rows = [(a_stored, min((hi for lo, hi in live if lo >= a_below),
+                                   default=last))]
         else:
-            below = [x for x in universe if lex_compare(x, alpha) == -1]
-            pairs = itertools.product(below, above)
-        for l, r in pairs:
-            report.checked += 1
-            found = False
-            for ext in extremes:
-                if ext is None:
-                    found = True  # empty neighborhood, vacuously inside
-                    vacuous += 1
-                    break
-                lo, hi = ext
-                if anchor_left_closed:
-                    left_ok = lex_compare(lo, l) != -1
-                else:
-                    left_ok = lex_compare(l, lo) == -1
-                if left_ok and lex_compare(hi, r) == -1:
-                    found = True
-                    break
-            if not found:
+            rows = [(window[i], min((hi for lo, hi in live if rank[i] < lo),
+                                    default=last))
+                    for i in range(len(window)) if rank[i] < a_below]
+        vacuous = 0
+        for l_stored, reach in rows:
+            open_pairs = max(0, reach - a_upto + 1)
+            if open_pairs and not has_empty:
+                ri = next(j for j, r in enumerate(above) if rank[r] <= reach)
+                report.checked += ri + 1
                 report.fail({"layer": "neighborhood-inside",
-                             "l": _seq_json(l), "r": _seq_json(r),
+                             "l": list(l_stored), "r": list(window[above[ri]]),
                              "left_closed": anchor_left_closed})
                 return report
+            report.checked += len(above)
+            vacuous += open_pairs
         report.params["vacuous_intervals"] = vacuous
     return report

@@ -191,6 +191,35 @@ def test_verify_budget_marker(capsys):
     assert "budget" in json.loads(out)
 
 
+@pytest.mark.parametrize("argv", [
+    ("--lemma", "chain", "--depth", "-3"),
+    ("--lemma", "chain", "--depth", "0"),
+    ("--lemma", "axiom-evidence", "--kind", "rt", "--depth", "-1"),
+    ("--lemma", "ff-morphism", "--depth", "0"),
+    ("--lemma", "g-morphism", "--depth", "0"),
+    ("--lemma", "g-morphism", "--depth", "1"),
+    ("--lemma", "lex", "--kind", "rt", "--depth", "1"),
+])
+def test_verify_rejects_windows_too_small_to_check(capsys, argv):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error:")
+    assert "--depth" in err
+
+
+@pytest.mark.parametrize("lemma,depth", [("chain", 1), ("ff-morphism", 1),
+                                         ("axiom-evidence", 1),
+                                         ("g-morphism", 2), ("lex", 2)])
+def test_verify_smallest_windows_check_something(capsys, lemma, depth):
+    code, out, _ = run_cli(capsys, "verify", "--lemma", lemma, "--kind", "rt",
+                           "--depth", str(depth))
+    assert code == 0
+    data = json.loads(out)
+    assert data["pass"] is True
+    assert data["checked"] > 0
+
+
 # --- countermodel --------------------------------------------------------------------
 
 def test_countermodel_com(capsys):

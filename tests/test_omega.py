@@ -375,3 +375,78 @@ def test_lex_window_compare_errors():
         lex_window_compare(IN2, zero_seq(2, signed=True), 1, 3)
     with pytest.raises(ValueError):
         lex_window_compare(RT2, zero_seq(2), 1, 3)
+
+
+def pairwise_lex_window(frame, alpha, k, d, k_max=None, anchor_left_closed=False):
+    """The order-window check by its definition: lex_compare on every pair,
+    the U_k' tried in increasing k'. Returns (checked, pass, counterexample,
+    vacuous intervals or None)."""
+    universe = enumerate_pseudo(2, d, signed=True)
+    k_max = d + 1 if k_max is None else k_max
+    punctured = frame.kind is FrameKind.IT
+    p = prefix(alpha, max(k, alpha.st))
+    left, right = pseudo(p + (-1,), 2, True), pseudo(p + (1,), 2, True)
+    checked = 0
+    if punctured:
+        checked += 1
+        if u_contains(frame, alpha, k, alpha):
+            return checked, False, {"layer": "interval-inside",
+                                    "reason": "alpha not excluded", "k": k}, None
+    for gamma in universe:
+        if lex_compare(left, gamma) == -1 and lex_compare(gamma, right) == -1:
+            checked += 1
+            if not (u_contains(frame, alpha, k, gamma) or (punctured and gamma == alpha)):
+                return checked, False, {"layer": "interval-inside", "k": k,
+                                        "gamma": list(gamma.stored)}, None
+    order = functools.cmp_to_key(lex_compare)
+    extremes = []
+    for kp in range(k_max + 1):
+        members = [x for x in universe if u_contains(frame, alpha, kp, x)]
+        extremes.append((min(members, key=order), max(members, key=order))
+                        if members else None)
+    above = [x for x in universe if lex_compare(alpha, x) == -1]
+    if anchor_left_closed:
+        pairs = [(alpha, r) for r in above]
+    else:
+        pairs = itertools.product([x for x in universe if lex_compare(x, alpha) == -1],
+                                  above)
+    vacuous = 0
+    for l, r in pairs:
+        checked += 1
+        for ext in extremes:
+            if ext is None:
+                vacuous += 1
+                break
+            lo, hi = ext
+            left_ok = lex_compare(lo, l) != -1 if anchor_left_closed \
+                else lex_compare(l, lo) == -1
+            if left_ok and lex_compare(hi, r) == -1:
+                break
+        else:
+            return checked, False, {"layer": "neighborhood-inside",
+                                    "l": list(l.stored), "r": list(r.stored),
+                                    "left_closed": anchor_left_closed}, None
+    return checked, True, None, vacuous
+
+
+LEX_ORACLE_RUNS = (
+    [(2, alpha, k, k_max, closed)
+     for alpha in signed_window(2) + [pseudo((0, 0, 1), 2, True),
+                                      pseudo((2, -1, -2), 2, True)]
+     for k in (0, 1, 2, 4) for k_max in (None, 0, 1, 2) for closed in (False, True)]
+    + [(3, pseudo(stored, 2, True), k, k_max, closed)
+       for stored in ((), (1,), (-1,), (0, 2), (2, -1, 1))
+       for k in (0, 2) for k_max in (None, 2) for closed in (False, True)])
+
+
+@pytest.mark.parametrize("frame", (IT2, RT2), ids=("it", "rt"))
+def test_lex_window_compare_matches_pairwise_sweep(frame):
+    for d, alpha, k, k_max, closed in LEX_ORACLE_RUNS:
+        report = lex_window_compare(frame, alpha, k, d, k_max=k_max,
+                                    anchor_left_closed=closed)
+        checked, passed, counterexample, vacuous = pairwise_lex_window(
+            frame, alpha, k, d, k_max, closed)
+        got = (report.checked, report.passed, report.counterexample,
+               report.params.get("vacuous_intervals"))
+        assert got == (checked, passed, counterexample, vacuous), \
+            (d, alpha.stored, k, k_max, closed)
