@@ -1,8 +1,10 @@
-"""Golden corpus: the exact stdout of fixed window commands and the reports
-of the failing controls, diffed byte for byte against tests/golden/.
+"""Golden corpus: the exact stdout of fixed window and certificate commands
+and the reports of the failing controls, diffed byte for byte against
+tests/golden/.
 
-The corpus pins every counter, layer count and first counterexample of the
-window lemmas, so a faster implementation must reproduce them exactly.
+The corpus pins every counter, layer count, witness log and first
+counterexample of the window lemmas and the countermodel certificates, so
+a faster implementation must reproduce them exactly.
 Regenerate it only when an output is meant to change:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -21,9 +23,12 @@ from typing import Callable
 import pytest
 
 from nbhdprod.cli import main
+from nbhdprod.countermodel import (Bounds, check_chr_certificate,
+                                   check_com_certificate, const_true_valuation,
+                                   st_com_valuation)
 from nbhdprod.kripke import FrameKind, SymbolicTreeFrame, check_fractal
-from nbhdprod.omega import (check_chain, lex_window_compare, pseudo,
-                            verify_g_morphism)
+from nbhdprod.omega import (ProductPoint, check_chain, lex_window_compare,
+                            pseudo, verify_g_morphism, zero_seq)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 KINDS = ("in", "rn", "it", "rt")
@@ -42,6 +47,12 @@ def _report(call: Callable[[], object]) -> Callable[[], str]:
     def run() -> str:
         data = call().to_dict(include_millis=False)
         return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    return run
+
+
+def _certificate(call: Callable[[], object]) -> Callable[[], str]:
+    def run() -> str:
+        return json.dumps(call().to_dict(), indent=2, sort_keys=True) + "\n"
     return run
 
 
@@ -83,6 +94,30 @@ def _cases() -> dict[str, Callable[[], str]]:
     for k1, k2 in (("rt", "in"), ("it", "rn")):
         cases[f"g-morphism-{k1}b1-{k2}b2-d4"] = _report(
             lambda f1=_frame(k1, 1), f2=_frame(k2, 2): verify_g_morphism(f1, f2, 4))
+    for kind in KINDS:
+        cases[f"verify-fractal-{kind}-b2-d8"] = _cli(
+            "verify", "--lemma", "fractal", "--kind", kind, "--branching", "2",
+            "--depth", "8")
+    # countermodel certificates: every kind pair at b=2, the diagonal at
+    # b=1 with wider bounds, and the rejected controls whose failing layer
+    # logs how many window points it checked
+    for axiom in ("com", "chr"):
+        for k1, k2 in itertools.product(KINDS, KINDS):
+            cases[f"countermodel-{axiom}-{k1}-{k2}-b2"] = _cli(
+                "countermodel", "--axiom", axiom, "--kind1", k1, "--kind2", k2,
+                "--branching", "2")
+        for kind in KINDS:
+            cases[f"countermodel-{axiom}-{kind}-{kind}-b1-10,10,5"] = _cli(
+                "countermodel", "--axiom", axiom, "--kind1", kind, "--kind2", kind,
+                "--branching", "1", "--bounds", "10,10,5")
+    anchor = ProductPoint(zero_seq(1), zero_seq(1))
+    for kind in KINDS:
+        cases[f"control-com-const-true-{kind}-{kind}-b1"] = _certificate(
+            lambda f=_frame(kind, 1): check_com_certificate(
+                f, f, Bounds(), valuation=const_true_valuation(anchor)))
+        cases[f"control-chr-st-com-{kind}-{kind}-b1"] = _certificate(
+            lambda f=_frame(kind, 1): check_chr_certificate(
+                f, f, Bounds(), valuation=st_com_valuation(anchor)))
     return cases
 
 
