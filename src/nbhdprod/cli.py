@@ -13,28 +13,21 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from .countermodel import (Bounds, check_chr_certificate, check_com_certificate)
 from .formula import ParseError, atoms, modal_depth, parse, unparse
 from .kripke import (FiniteKripkeFrame, FrameKind, SymbolicTreeFrame, Word,
                      check_fractal, enumerate_words, word_rel)
-from .nbhd import (FiniteNFrame, FiniteNModel, nof, product_n, satisfies,
-                   structural_characteristics, valid_on_frame)
+from .nbhd import (FiniteNFrame, FiniteNModel, denotation, nof, product_n,
+                   satisfies, structural_characteristics, valid_on_frame)
 from .omega import (axiom_evidence, check_chain, lex_window_compare, pseudo,
                     verify_ff_morphism, verify_g_morphism, zero_seq)
 from .report import BudgetExceeded, Stopwatch, VerificationReport
 from .sampling import (finite_com_sweep, fusion_soundness_sweep,
                        nf_agreement_sweep)
 
-LEMMAS = ("fractal", "chain", "ff-morphism", "g-morphism", "nf-agreement",
-          "fusion-axioms", "axiom-evidence", "finite-com", "lex")
 KINDS = tuple(k.value for k in FrameKind)
-# the smallest --depth on which a window lemma checks more than trivia: below
-# it chain, ff-morphism and axiom-evidence see only the zero sequence, and
-# g-morphism and lex have no admissible base-set index
-MIN_DEPTH = {"chain": 1, "ff-morphism": 1, "axiom-evidence": 1,
-             "g-morphism": 2, "lex": 2}
 
 
 def _emit(data: Mapping[str, Any], args: argparse.Namespace) -> None:
@@ -79,13 +72,12 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     model = FiniteNModel.from_dict(_load(args.model))
     phi = parse(args.formula)
     if args.world is not None:
-        if args.world not in model.frame.worlds:
-            raise ValueError(f"unknown world {args.world!r}")
         value = satisfies(model, args.world, phi)
         _emit({"formula": unparse(phi), "world": args.world, "value": value},
               args)
         return 0 if value else 1
-    values = {w: satisfies(model, w, phi) for w in model.frame.worlds}
+    holds = denotation(model, phi)
+    values = {w: w in holds for w in model.frame.worlds}
     _emit({"formula": unparse(phi), "values": values}, args)
     return 0 if all(values.values()) else 1
 
@@ -132,19 +124,19 @@ def _cmd_tree(args: argparse.Namespace) -> int:
     return 0
 
 
-def _lex_suite(kind: FrameKind, branching: int, depth: int,
+def _lex_suite(frame: SymbolicTreeFrame, depth: int,
                bounds: Bounds) -> VerificationReport:
     """Order-window runs for a fixed small family of centers; part-(a) depths
     beyond d - 1 only see the center itself on the window, so they are
     skipped rather than reported as trivially green."""
-    frame = SymbolicTreeFrame(kind, branching)
+    branching = frame.branching
     alphas = [zero_seq(branching, signed=True),
               pseudo((1,), branching, signed=True),
               pseudo((-1,), branching, signed=True)]
     ks = list(range(1, min(bounds.k_max, depth - 1) + 1))
     report = VerificationReport(
         lemma="lex",
-        params={"kind": kind.value, "branching": branching, "d": depth,
+        params={"kind": frame.kind.value, "branching": branching, "d": depth,
                 "k_values": ks, "alphas": [list(a.stored) for a in alphas]})
     with Stopwatch(report):
         for alpha in alphas:
@@ -158,39 +150,38 @@ def _lex_suite(kind: FrameKind, branching: int, depth: int,
     return report
 
 
+def _tree(kind: str | None, args: argparse.Namespace) -> SymbolicTreeFrame:
+    """The tree frame of a kind option; --kind1 and --kind2 default to --kind."""
+    return SymbolicTreeFrame(FrameKind(kind or args.kind), args.branching)
+
+
+# lemma -> (smallest --depth, runner). Below it fractal sees only the empty
+# word, chain, ff-morphism and axiom-evidence only the zero sequence, and
+# g-morphism and lex no admissible base-set index; the seeded sweeps take no
+# --depth. Runners look checks up in this module when called, so wrapping
+# a module attribute such as check_chain wraps what verify runs.
+LEMMAS: dict[str, tuple[int | None,
+                        Callable[[argparse.Namespace, Bounds], VerificationReport]]] = {
+    "fractal": (1, lambda a, b: check_fractal(_tree(a.kind, a), a.depth)),
+    "chain": (1, lambda a, b: check_chain(_tree(a.kind, a), a.depth, b.k_max)),
+    "ff-morphism": (1, lambda a, b: verify_ff_morphism(_tree(a.kind, a), a.depth)),
+    "g-morphism": (2, lambda a, b: verify_g_morphism(
+        _tree(a.kind1, a), _tree(a.kind2, a), a.depth)),
+    "nf-agreement": (None, lambda a, b: nf_agreement_sweep(a.seed)),
+    "fusion-axioms": (None, lambda a, b: fusion_soundness_sweep(a.seed)),
+    "axiom-evidence": (1, lambda a, b: axiom_evidence(_tree(a.kind, a), a.depth)),
+    "finite-com": (None, lambda a, b: finite_com_sweep(a.seed)),
+    "lex": (2, lambda a, b: _lex_suite(_tree(a.kind, a), a.depth, b)),
+}
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     bounds = _parse_bounds(args.bounds)
-    floor = MIN_DEPTH.get(args.lemma)
+    floor, run = LEMMAS[args.lemma]
     if floor is not None and args.depth < floor:
         raise ValueError(f"--lemma {args.lemma} needs --depth >= {floor}, "
                          f"got {args.depth}")
-    kind = FrameKind(args.kind)
-    kind1 = FrameKind(args.kind1) if args.kind1 else kind
-    kind2 = FrameKind(args.kind2) if args.kind2 else kind
-    if args.lemma == "fractal":
-        report = check_fractal(SymbolicTreeFrame(kind, args.branching),
-                               args.depth)
-    elif args.lemma == "chain":
-        report = check_chain(SymbolicTreeFrame(kind, args.branching),
-                             args.depth, bounds.k_max)
-    elif args.lemma == "ff-morphism":
-        report = verify_ff_morphism(SymbolicTreeFrame(kind, args.branching),
-                                    args.depth)
-    elif args.lemma == "g-morphism":
-        report = verify_g_morphism(SymbolicTreeFrame(kind1, args.branching),
-                                   SymbolicTreeFrame(kind2, args.branching),
-                                   args.depth)
-    elif args.lemma == "axiom-evidence":
-        report = axiom_evidence(SymbolicTreeFrame(kind, args.branching),
-                                args.depth)
-    elif args.lemma == "nf-agreement":
-        report = nf_agreement_sweep(args.seed)
-    elif args.lemma == "fusion-axioms":
-        report = fusion_soundness_sweep(args.seed)
-    elif args.lemma == "finite-com":
-        report = finite_com_sweep(args.seed)
-    else:
-        report = _lex_suite(kind, args.branching, args.depth, bounds)
+    report = run(args, bounds)
     report.params.setdefault("bounds", bounds.to_dict())
     _emit(report.to_dict(include_millis=args.timings), args)
     return 0 if report.passed else 1
@@ -266,7 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common],
                        help="run a window verification")
-    p.add_argument("--lemma", choices=LEMMAS, required=True)
+    p.add_argument("--lemma", choices=tuple(LEMMAS), required=True)
     p.add_argument("--kind", choices=KINDS, default="rt")
     p.add_argument("--kind1", choices=KINDS)
     p.add_argument("--kind2", choices=KINDS)

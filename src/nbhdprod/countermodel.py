@@ -19,14 +19,13 @@ recursion over the formula as a cross-check.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Any, Callable
 
 from .formula import Atom, Bottom, Box, Formula, Implies, atoms
 from .kripke import SymbolicTreeFrame
-from .omega import (ProductPoint, PseudoSeq, enumerate_pseudo, point_json,
-                    prefix, pseudo, u_contains, zero_seq)
+from .omega import (MembershipTable, ProductPoint, PseudoSeq, enumerate_pseudo,
+                    point_json, prefix, pseudo, u_contains, zero_seq)
 
 
 @dataclass(frozen=True)
@@ -100,12 +99,17 @@ class Certificate:
             out["failure"] = self.failure
         return out
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
 
 def _zeros_then_one(count: int, branching: int) -> PseudoSeq:
     return pseudo((0,) * count + (1,), branching)
+
+
+def _zero_neighborhoods(frame: SymbolicTreeFrame,
+                        d: int) -> Callable[[int], list[PseudoSeq]]:
+    """k -> the members of U_k(0) with support <= d, in enumeration order."""
+    universe = enumerate_pseudo(frame.branching, d)
+    table = MembershipTable(frame.kind, [x.stored for x in universe])
+    return lambda k: [universe[i] for i in table.members((), k)]
 
 
 def check_com_certificate(frame1: SymbolicTreeFrame, frame2: SymbolicTreeFrame,
@@ -128,19 +132,15 @@ def check_com_certificate(frame1: SymbolicTreeFrame, frame2: SymbolicTreeFrame,
     layers: list[dict[str, Any]] = []
     failure: dict[str, Any] | None = None
 
-    first_universe = enumerate_pseudo(b1, bounds.d_enum)
-    second_universe = enumerate_pseudo(b2, bounds.d_enum)
+    first_u = _zero_neighborhoods(frame1, bounds.d_enum)
+    second_u = _zero_neighborhoods(frame2, bounds.d_enum)
 
     checked = 0
     ok = True
     outer_m = 1
-    for ap in first_universe:
-        if not u_contains(frame1, anchor.first, outer_m, ap):
-            continue
+    for ap in first_u(outer_m):
         inner_j = max(ap.st, anchor.second.st)
-        for bp in second_universe:
-            if not u_contains(frame2, anchor.second, inner_j, bp):
-                continue
+        for bp in second_u(inner_j):
             checked += 1
             if not val.contains(ProductPoint(ap, bp)):
                 ok = False
@@ -215,8 +215,8 @@ def check_chr_certificate(frame1: SymbolicTreeFrame, frame2: SymbolicTreeFrame,
     layers: list[dict[str, Any]] = []
     failure: dict[str, Any] | None = None
 
-    first_universe = enumerate_pseudo(b1, bounds.d_enum)
-    second_universe = enumerate_pseudo(b2, bounds.d_enum)
+    first_u = _zero_neighborhoods(frame1, bounds.d_enum)
+    second_u = _zero_neighborhoods(frame2, bounds.d_enum)
 
     checked = 0
     ok = True
@@ -232,9 +232,7 @@ def check_chr_certificate(frame1: SymbolicTreeFrame, frame2: SymbolicTreeFrame,
             break
         inner_j = alpha.st
         inner_checked = 0
-        for bp in second_universe:
-            if not u_contains(frame2, anchor.second, inner_j, bp):
-                continue
+        for bp in second_u(inner_j):
             inner_checked += 1
             checked += 1
             if not val.contains(ProductPoint(alpha, bp)):
@@ -264,9 +262,7 @@ def check_chr_certificate(frame1: SymbolicTreeFrame, frame2: SymbolicTreeFrame,
                 break
             k_star = max(bounds.k_max, beta.st)
             inner_checked = 0
-            for ap in first_universe:
-                if not u_contains(frame1, anchor.first, k_star, ap):
-                    continue
+            for ap in first_u(k_star):
                 inner_checked += 1
                 checked += 1
                 if val.contains(ProductPoint(ap, beta)):

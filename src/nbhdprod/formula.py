@@ -4,7 +4,8 @@ The core connective basis is {bottom, ->, [1], [2]}. Derived connectives
 (true, ~, &, |, <1>, <2>) are accepted by the constructors and the parser but
 normalize to the core immediately, so structural equality of ASTs is equality
 up to the standard abbreviations. The printer emits the core basis only, with
-minimal parentheses, and parse(unparse(f)) == f for every formula f.
+minimal parentheses, and parse(unparse(f)) == f for every formula f whose
+height is at most MAX_NESTING.
 """
 
 from __future__ import annotations
@@ -178,12 +179,22 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
     return tokens
 
 
+MAX_NESTING = 64  # the tallest core AST parse builds
+
+
 class _Parser:
-    """Recursive descent over: -> (right assoc, loosest), |, &, unary, atoms."""
+    """Recursive descent over: -> (right assoc, loosest), |, &, unary, atoms.
+
+    Rules return the formula with its height (edges on the longest root-leaf
+    path), which bounds every recursive walker over it. Parentheses, prefix
+    operators and right sides of -> open at once bound this parser's own
+    recursion; the printer opens at most 1.5 of them per level of height.
+    """
 
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.open = 0
 
     def peek(self) -> tuple[str, object, int]:
         return self.tokens[self.i]
@@ -199,58 +210,78 @@ class _Parser:
             raise ParseError(f"expected {kind}, found {tok[1]!r}", tok[2])
         return tok
 
-    def formula(self) -> Formula:
-        left = self.disjunction()
-        if self.peek()[0] == "arrow":
-            self.take()
-            return Implies(left, self.formula())
-        return left
+    def enter(self, pos: int) -> None:
+        self.open += 1
+        if self.open > 2 * MAX_NESTING:
+            raise ParseError(f"formula nests deeper than {MAX_NESTING} levels", pos)
 
-    def disjunction(self) -> Formula:
-        out = self.conjunction()
+    def node(self, phi: Formula, height: int, pos: int) -> tuple[Formula, int]:
+        if height > MAX_NESTING:
+            raise ParseError(f"formula nests deeper than {MAX_NESTING} levels", pos)
+        return phi, height
+
+    def formula(self) -> tuple[Formula, int]:
+        left, hl = self.disjunction()
+        kind, _, pos = self.peek()
+        if kind == "arrow":
+            self.take()
+            self.enter(pos)
+            right, hr = self.formula()
+            self.open -= 1
+            return self.node(Implies(left, right), max(hl, hr) + 1, pos)
+        return left, hl
+
+    def disjunction(self) -> tuple[Formula, int]:
+        out, h = self.conjunction()
         while self.peek()[0] == "pipe":
-            self.take()
-            out = or_(out, self.conjunction())
-        return out
+            pos = self.take()[2]
+            right, hr = self.conjunction()
+            out, h = self.node(or_(out, right), max(h + 1, hr) + 1, pos)
+        return out, h
 
-    def conjunction(self) -> Formula:
-        out = self.unary()
+    def conjunction(self) -> tuple[Formula, int]:
+        out, h = self.unary()
         while self.peek()[0] == "amp":
-            self.take()
-            out = and_(out, self.unary())
-        return out
+            pos = self.take()[2]
+            right, hr = self.unary()
+            out, h = self.node(and_(out, right), max(h, hr + 1) + 2, pos)
+        return out, h
 
-    def unary(self) -> Formula:
+    def unary(self) -> tuple[Formula, int]:
         kind, value, pos = self.peek()
+        if kind not in ("tilde", "box", "dia"):
+            return self.atomic()
+        self.take()
+        self.enter(pos)
+        body, h = self.unary()
+        self.open -= 1
         if kind == "tilde":
-            self.take()
-            return not_(self.unary())
+            return self.node(not_(body), h + 1, pos)
         if kind == "box":
-            self.take()
-            return Box(int(value), self.unary())
-        if kind == "dia":
-            self.take()
-            return diamond(int(value), self.unary())
-        return self.atomic()
+            return self.node(Box(int(value), body), h + 1, pos)
+        return self.node(diamond(int(value), body), h + 3, pos)
 
-    def atomic(self) -> Formula:
+    def atomic(self) -> tuple[Formula, int]:
         kind, value, pos = self.take()
         if kind == "ident":
-            return Atom(str(value))
+            return Atom(str(value)), 0
         if kind == "false":
-            return BOT
+            return BOT, 0
         if kind == "true":
-            return TOP
+            return TOP, 1
         if kind == "lpar":
+            self.enter(pos)
             inner = self.formula()
             self.expect("rpar")
+            self.open -= 1
             return inner
         raise ParseError(f"expected a formula, found {value!r}", pos)
 
 
 def parse(text: str) -> Formula:
+    """Parse formula text; a ParseError names the position of the fault."""
     parser = _Parser(text)
-    out = parser.formula()
+    out, _ = parser.formula()
     kind, value, pos = parser.peek()
     if kind != "eof":
         raise ParseError(f"trailing input {value!r}", pos)
@@ -284,7 +315,8 @@ def _render(phi: Formula, min_level: int) -> str:
 
 
 def unparse(phi: Formula) -> str:
-    """Core-basis text with minimal parentheses; parse(unparse(f)) == f."""
+    """Core-basis text with minimal parentheses; parse(unparse(f)) == f
+    whenever f is at most MAX_NESTING high."""
     return _render(phi, _LEVEL_IMPLIES)
 
 
@@ -349,10 +381,9 @@ _MAX_GEN_DEPTH = 3
 _MAX_GEN_ATOMS = 2
 
 
-def generate_formulas(depth: int, atom_names: Sequence[str],
-                      max_nodes: int | None = None) -> Iterator[Formula]:
-    """All core-basis ASTs with at most max_nodes nodes (default depth + 5)
-    and modal depth <= depth, in (size, structure) order, without duplicates.
+def generate_formulas(depth: int, atom_names: Sequence[str]) -> Iterator[Formula]:
+    """All core-basis ASTs with at most depth + 5 nodes and modal depth
+    <= depth, in (size, structure) order, without duplicates.
 
     The node budget makes the family finite; depth + 5 is the least budget
     whose window contains a diamond over one atom (6 core nodes) at depth 1.
@@ -361,8 +392,7 @@ def generate_formulas(depth: int, atom_names: Sequence[str],
         raise BudgetExceeded(
             f"generate_formulas guard: depth <= {_MAX_GEN_DEPTH} and "
             f"at most {_MAX_GEN_ATOMS} atoms")
-    if max_nodes is None:
-        max_nodes = depth + 5
+    max_nodes = depth + 5
     leaves: list[Formula] = [BOT] + [Atom(a) for a in atom_names]
     by_size: dict[int, list[Formula]] = {1: leaves}
     for n in range(2, max_nodes + 1):

@@ -10,10 +10,9 @@ which is what makes window checks on word length meaningful.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterable, Mapping
+from typing import Any, Collection, Iterable, Mapping, Sequence
 
 from .formula import Atom, Bottom, Box, Formula, Implies
 from .report import BudgetExceeded, Stopwatch, VerificationReport
@@ -26,10 +25,6 @@ class FrameKind(Enum):
     RN = "rn"
     IT = "it"
     RT = "rt"
-
-    @property
-    def reflexive(self) -> bool:
-        return self in (FrameKind.RN, FrameKind.RT)
 
     @property
     def transitive(self) -> bool:
@@ -97,30 +92,32 @@ def word_rel(frame: SymbolicTreeFrame, u: Word, v: Word) -> bool:
 def enumerate_words(branching: int, depth: int, *, signed: bool = False,
                     budget: int = DEFAULT_WORD_BUDGET) -> list[Word]:
     """All words of length <= depth in shortlex order."""
-    alphabet = _alphabet(branching, signed)
+    alphabet = (tuple(range(-branching, 0)) if signed else ()) + \
+        tuple(range(1, branching + 1))
+    return [Word(t, branching, signed)
+            for t in _shortlex(alphabet, depth, budget, "words")]
+
+
+def _shortlex(alphabet: Sequence[Any], depth: int, budget: int,
+              noun: str) -> list[tuple[Any, ...]]:
+    """All tuples over alphabet of length <= depth in shortlex order, after
+    checking their count against budget."""
     total, width = 1, 1
     for _ in range(depth):
         width *= len(alphabet)
         total += width
     if total > budget:
-        raise BudgetExceeded(f"{total} words exceeds budget {budget}")
-    out = [Word((), branching, signed)]
-    layer: list[tuple[int, ...]] = [()]
+        raise BudgetExceeded(f"{total} {noun} exceeds budget {budget}")
+    out: list[tuple[Any, ...]] = [()]
+    layer = [()]
     for _ in range(depth):
         layer = [prev + (x,) for prev in layer for x in alphabet]
-        out.extend(Word(t, branching, signed) for t in layer)
+        out += layer
     return out
 
 
-def _alphabet(branching: int, signed: bool) -> tuple[int, ...]:
-    if signed:
-        return tuple(range(-branching, 0)) + tuple(range(1, branching + 1))
-    return tuple(range(1, branching + 1))
-
-
 def check_fractal(frame: SymbolicTreeFrame, depth: int, *,
-                  lhs_kind: FrameKind | None = None,
-                  budget: int = DEFAULT_WORD_BUDGET) -> VerificationReport:
+                  lhs_kind: FrameKind | None = None) -> VerificationReport:
     """Window check of  a R (a.c) iff () R c  for all len(a)+len(c) <= depth.
 
     lhs_kind evaluates the left-hand relation with a different kind; that is a
@@ -133,7 +130,7 @@ def check_fractal(frame: SymbolicTreeFrame, depth: int, *,
                 "depth": depth, "lhs_kind": left.value},
     )
     with Stopwatch(report):
-        words = enumerate_words(frame.branching, depth, budget=budget)
+        words = enumerate_words(frame.branching, depth)
         for a in words:
             for c in words:
                 if len(a) + len(c) > depth:
@@ -179,18 +176,8 @@ def tagged_word(letters: Iterable[tuple[int, int]], b1: int, b2: int) -> TaggedW
 def enumerate_tagged_words(b1: int, b2: int, depth: int, *,
                            budget: int = DEFAULT_WORD_BUDGET) -> list[TaggedWord]:
     alphabet = [(1, x) for x in range(1, b1 + 1)] + [(2, x) for x in range(1, b2 + 1)]
-    total, width = 1, 1
-    for _ in range(depth):
-        width *= len(alphabet)
-        total += width
-    if total > budget:
-        raise BudgetExceeded(f"{total} tagged words exceeds budget {budget}")
-    out = [TaggedWord((), (b1, b2))]
-    layer: list[tuple[tuple[int, int], ...]] = [()]
-    for _ in range(depth):
-        layer = [prev + (x,) for prev in layer for x in alphabet]
-        out.extend(TaggedWord(t, (b1, b2)) for t in layer)
-    return out
+    return [TaggedWord(t, (b1, b2))
+            for t in _shortlex(alphabet, depth, budget, "tagged words")]
 
 
 def fusion_word_rel(frame1: SymbolicTreeFrame, frame2: SymbolicTreeFrame,
@@ -214,6 +201,30 @@ def _fusion_rel_on_tuples(kind: FrameKind, i: int, u: tuple[tuple[int, int], ...
     if any(side != i for side, _ in z):
         return False
     return _rel_on_tuples(kind, (), tuple(letter for _, letter in z))
+
+
+# --- JSON input: a ValueError names the path of the first malformed part -------
+
+def _expect(value: Any, kind: type, path: str) -> Any:
+    if not isinstance(value, kind):
+        raise ValueError(f"{path}: expected {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _worlds(value: Any, path: str, known: Collection[str] | None = None) -> list[str]:
+    """A list of world names; with known, each must be one of them."""
+    for n, w in enumerate(_expect(value, list, path)):
+        if not isinstance(w, str):
+            raise ValueError(f"{path}[{n}]: expected a world name, got {w!r}")
+        if known is not None and w not in known:
+            raise ValueError(f"{path}[{n}]: unknown world {w!r}")
+    return value
+
+
+def _modality(key: Any, path: str) -> int:
+    if str(key) not in ("1", "2"):
+        raise ValueError(f"{path}: modality must be 1 or 2")
+    return int(key)
 
 
 # --- finite Kripke frames -----------------------------------------------------
@@ -248,15 +259,19 @@ class FiniteKripkeFrame:
                     for i in sorted(self.rel)},
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FiniteKripkeFrame":
-        worlds = tuple(data["worlds"])
-        rel = {int(i): frozenset((a, b) for a, b in pairs)
-               for i, pairs in data["rel"].items()}
-        return cls(worlds, rel)
+        worlds = _worlds(_expect(data, dict, "$").get("worlds"), "$.worlds")
+        known = set(worlds)
+        rel = {}
+        for key, pairs in _expect(data.get("rel"), dict, "$.rel").items():
+            path = f"$.rel.{key}"
+            edges = [_worlds(e, f"{path}[{n}]", known)
+                     for n, e in enumerate(_expect(pairs, list, path))]
+            if any(len(e) != 2 for e in edges):
+                raise ValueError(f"{path}: an edge is not a pair of worlds")
+            rel[_modality(key, path)] = frozenset((a, b) for a, b in edges)
+        return cls(tuple(worlds), rel)
 
 
 @dataclass(frozen=True)

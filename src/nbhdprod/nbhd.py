@@ -11,13 +11,12 @@ D axiom) can fail.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
 from .formula import (Atom, Bottom, Box, Formula, Implies, atoms,
                       generate_formulas, modalities_of, unparse)
-from .kripke import FiniteKripkeFrame
+from .kripke import FiniteKripkeFrame, _expect, _modality, _worlds
 from .report import BudgetExceeded, Stopwatch, VerificationReport
 
 VALUATION_GUARD_BITS = 16
@@ -40,9 +39,6 @@ class FiniteNFrame:
     def modalities(self) -> tuple[int, ...]:
         return tuple(sorted(self.base))
 
-    def base_sets(self, i: int, w: str) -> tuple[frozenset[str], ...]:
-        return self.base[i][w]
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "worlds": list(self.worlds),
@@ -51,16 +47,22 @@ class FiniteNFrame:
                      for i in sorted(self.base)},
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FiniteNFrame":
-        worlds = tuple(data["worlds"])
-        base = {int(i): {w: tuple(frozenset(u) for u in sets)
-                         for w, sets in per_world.items()}
-                for i, per_world in data["base"].items()}
-        return cls(worlds, base)
+        worlds = _worlds(_expect(data, dict, "$").get("worlds"), "$.worlds")
+        known = set(worlds)
+        base = {}
+        for key, per_world in _expect(data.get("base"), dict, "$.base").items():
+            path = f"$.base.{key}"
+            for w in [*worlds, *_expect(per_world, dict, path)]:
+                if w not in known or w not in per_world:
+                    what = "has no base sets" if w in known else "is not in $.worlds"
+                    raise ValueError(f"{path}: world {w!r} {what}")
+            base[_modality(key, path)] = {
+                w: tuple(frozenset(_worlds(u, f"{path}.{w}[{n}]", known))
+                         for n, u in enumerate(_expect(sets, list, f"{path}.{w}")))
+                for w, sets in per_world.items()}
+        return cls(tuple(worlds), base)
 
 
 def validate_frame(frame: FiniteNFrame) -> VerificationReport:
@@ -127,13 +129,11 @@ class FiniteNModel:
         out["val"] = {name: sorted(ws) for name, ws in sorted(self.valuation.items())}
         return out
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FiniteNModel":
         frame = FiniteNFrame.from_dict(data)
-        val = {name: frozenset(ws) for name, ws in data.get("val", {}).items()}
+        val = {name: frozenset(_worlds(ws, f"$.val.{name}", frame.worlds))
+               for name, ws in _expect(data.get("val", {}), dict, "$.val").items()}
         return cls(frame, val)
 
 
@@ -143,7 +143,6 @@ class _Compiled:
     """Worlds as bit positions; base sets as masks. One compile per sweep."""
 
     def __init__(self, frame: FiniteNFrame):
-        self.frame = frame
         self.n = len(frame.worlds)
         self.full = (1 << self.n) - 1
         self.index = {w: k for k, w in enumerate(frame.worlds)}
@@ -213,8 +212,7 @@ class Counterexample:
                 "world": self.world}
 
 
-def valid_on_frame(frame: FiniteNFrame, phi: Formula, *,
-                   guard_bits: int = VALUATION_GUARD_BITS) -> Counterexample | None:
+def valid_on_frame(frame: FiniteNFrame, phi: Formula) -> Counterexample | None:
     """Exhaustive validity check; returns the first counterexample or None.
 
     Valuations run in binary-counter order over (world, atom) pairs with
@@ -223,8 +221,9 @@ def valid_on_frame(frame: FiniteNFrame, phi: Formula, *,
     """
     names = sorted(atoms(phi))
     bits = len(frame.worlds) * len(names)
-    if bits > guard_bits:
-        raise BudgetExceeded(f"{bits} valuation bits exceeds guard {guard_bits}")
+    if bits > VALUATION_GUARD_BITS:
+        raise BudgetExceeded(
+            f"{bits} valuation bits exceeds guard {VALUATION_GUARD_BITS}")
     comp = _Compiled(frame)
     pairs = [(w, a) for w in frame.worlds for a in names]
     for v in range(1 << bits):
@@ -253,8 +252,7 @@ class Characteristics:
         return {"d_ok": self.d_ok, "t_ok": self.t_ok, "four_ok": self.four_ok}
 
 
-def structural_characteristics(frame: FiniteNFrame, i: int, *,
-                               guard_worlds: int = FOUR_GUARD_WORLDS) -> Characteristics:
+def structural_characteristics(frame: FiniteNFrame, i: int) -> Characteristics:
     """Frame-level equivalents of D, T and Four validity at modality i.
 
     d_ok: no empty base set (the filter is proper everywhere).
@@ -265,9 +263,9 @@ def structural_characteristics(frame: FiniteNFrame, i: int, *,
     """
     if i not in frame.modalities:
         raise ValueError(f"frame has no modality {i}")
-    if len(frame.worlds) > guard_worlds:
+    if len(frame.worlds) > FOUR_GUARD_WORLDS:
         raise BudgetExceeded(
-            f"{len(frame.worlds)} worlds exceeds guard {guard_worlds} for four_ok")
+            f"{len(frame.worlds)} worlds exceeds guard {FOUR_GUARD_WORLDS} for four_ok")
     comp = _Compiled(frame)
     rows = comp.base_masks[i]
     d_ok = all(u != 0 for row in rows for u in row)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .kripke import (FrameKind, SymbolicTreeFrame, TaggedWord, Word,
                      _fusion_rel_on_tuples, _rel_on_tuples,
@@ -68,10 +68,7 @@ class PseudoSeq:
 
 def pseudo(entries: Iterable[int], branching: int, signed: bool = False) -> PseudoSeq:
     """Canonicalizing constructor: strips trailing zeros."""
-    stored = list(entries)
-    while stored and stored[-1] == 0:
-        stored.pop()
-    return PseudoSeq(tuple(stored), branching, signed)
+    return PseudoSeq(_canon(tuple(entries)), branching, signed)
 
 
 def zero_seq(branching: int, signed: bool = False) -> PseudoSeq:
@@ -133,20 +130,6 @@ def enumerate_pseudo(branching: int, d: int, signed: bool = False, *,
             for stored in _enumerate_stored(branching, d, signed, budget)]
 
 
-@dataclass
-class SymbolicSet:
-    """A set of pseudo-sequences given by a membership predicate; enumeration
-    lists exactly the members with support inside the first d positions."""
-
-    branching: int
-    signed: bool
-    contains: Callable[[PseudoSeq], bool]
-
-    def enumerate(self, d: int, *, budget: int = DEFAULT_SEQ_BUDGET) -> list[PseudoSeq]:
-        return [x for x in enumerate_pseudo(self.branching, d, self.signed, budget=budget)
-                if self.contains(x)]
-
-
 def _u_fast(kind: FrameKind, a_stored: tuple[int, ...], a_fw: tuple[int, ...],
             b_stored: tuple[int, ...], b_fw: tuple[int, ...], k: int) -> bool:
     m = max(k, len(a_stored) + 1)
@@ -171,15 +154,6 @@ def u_contains(frame: SymbolicTreeFrame, alpha: PseudoSeq, k: int,
         raise ValueError("index must be >= 0")
     return _u_fast(frame.kind, alpha.stored, _fw(alpha.stored),
                    beta.stored, _fw(beta.stored), k)
-
-
-def u_set(frame: SymbolicTreeFrame, alpha: PseudoSeq, k: int) -> SymbolicSet:
-    return SymbolicSet(alpha.branching, alpha.signed,
-                       lambda beta: u_contains(frame, alpha, k, beta))
-
-
-def _seq_json(alpha: PseudoSeq) -> list[int]:
-    return list(alpha.stored)
 
 
 class MembershipTable:
@@ -233,8 +207,7 @@ class MembershipTable:
 # --- chain lemma -----------------------------------------------------------------
 
 def check_chain(frame: SymbolicTreeFrame, d: int, k_max: int, *,
-                reverse_inclusion: bool = False,
-                budget: int = DEFAULT_SEQ_BUDGET) -> VerificationReport:
+                reverse_inclusion: bool = False) -> VerificationReport:
     """U_k(alpha) subset-of U_m(alpha) for all m <= k <= k_max, on the window
     of sequences with support <= d.
 
@@ -246,7 +219,7 @@ def check_chain(frame: SymbolicTreeFrame, d: int, k_max: int, *,
         params={"kind": frame.kind.value, "branching": frame.branching, "d": d,
                 "k_max": k_max, "reverse_inclusion": reverse_inclusion})
     with Stopwatch(report):
-        window = _enumerate_stored(frame.branching, d, False, budget)
+        window = _enumerate_stored(frame.branching, d, False, DEFAULT_SEQ_BUDGET)
         table = MembershipTable(frame.kind, window)
         for a_stored in window:
             masks = [table.mask(a_stored, k) for k in range(k_max + 1)]
@@ -266,8 +239,7 @@ def check_chain(frame: SymbolicTreeFrame, d: int, k_max: int, *,
 
 # --- bounded morphism onto the tree frame ----------------------------------------
 
-def verify_ff_morphism(frame: SymbolicTreeFrame, d: int, *,
-                       budget: int = DEFAULT_SEQ_BUDGET) -> VerificationReport:
+def verify_ff_morphism(frame: SymbolicTreeFrame, d: int) -> VerificationReport:
     """The zero-forgetting map is a surjective bounded morphism, verified on
     the window by exact witnesses:
 
@@ -281,7 +253,7 @@ def verify_ff_morphism(frame: SymbolicTreeFrame, d: int, *,
         lemma="ff-morphism",
         params={"kind": frame.kind.value, "branching": frame.branching, "d": d})
     with Stopwatch(report):
-        words = enumerate_words(frame.branching, d, budget=budget)
+        words = enumerate_words(frame.branching, d, budget=DEFAULT_SEQ_BUDGET)
         surjectivity = forward = covering = 0
         for w in words:
             surjectivity += 1
@@ -290,7 +262,7 @@ def verify_ff_morphism(frame: SymbolicTreeFrame, d: int, *,
                 report.fail({"layer": "surjectivity", "word": list(w.letters)})
                 return report
         kind = frame.kind
-        window = _enumerate_stored(frame.branching, d, False, budget)
+        window = _enumerate_stored(frame.branching, d, False, DEFAULT_SEQ_BUDGET)
         table = MembershipTable(kind, window)
         # R-successors inside the window, per zero-forgotten anchor
         successors: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
@@ -335,8 +307,8 @@ _EVIDENCE_KINDS: dict[str, tuple[FrameKind, ...]] = {
 }
 
 
-def axiom_evidence(frame: SymbolicTreeFrame, d: int, evidence: str | None = None, *,
-                   budget: int = DEFAULT_SEQ_BUDGET) -> VerificationReport:
+def axiom_evidence(frame: SymbolicTreeFrame, d: int,
+                   evidence: str | None = None) -> VerificationReport:
     """Window evidence that the U_k families validate the structural axioms
     the frame kind promises.
 
@@ -360,7 +332,7 @@ def axiom_evidence(frame: SymbolicTreeFrame, d: int, evidence: str | None = None
         params={"kind": frame.kind.value, "branching": frame.branching, "d": d,
                 "evidence": kinds})
     with Stopwatch(report):
-        window = _enumerate_stored(frame.branching, d, False, budget)
+        window = _enumerate_stored(frame.branching, d, False, DEFAULT_SEQ_BUDGET)
         table = MembershipTable(frame.kind, window)
         if "d" in kinds:
             for a_stored, a_fw in zip(window, table.words):
@@ -409,7 +381,7 @@ class ProductPoint:
 
 
 def point_json(p: ProductPoint) -> dict[str, list[int]]:
-    return {"first": _seq_json(p.first), "second": _seq_json(p.second)}
+    return {"first": list(p.first.stored), "second": list(p.second.stored)}
 
 
 def _interleave(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
@@ -458,7 +430,7 @@ def product_u_contains(frame1: SymbolicTreeFrame, frame2: SymbolicTreeFrame,
 
 
 def verify_g_morphism(frame1: SymbolicTreeFrame, frame2: SymbolicTreeFrame,
-                      d: int, *, budget: int = DEFAULT_SEQ_BUDGET) -> VerificationReport:
+                      d: int) -> VerificationReport:
     """The interleaving map is a surjective bounded morphism from the product
     of two sequence spaces onto the fused tree frame, on the window:
 
@@ -478,7 +450,7 @@ def verify_g_morphism(frame1: SymbolicTreeFrame, frame2: SymbolicTreeFrame,
     with Stopwatch(report):
         b1, b2 = frame1.branching, frame2.branching
         surjectivity = forward = covering = 0
-        for z in enumerate_tagged_words(b1, b2, d, budget=budget):
+        for z in enumerate_tagged_words(b1, b2, d, budget=DEFAULT_SEQ_BUDGET):
             surjectivity += 1
             if g_map(g_preimage(z)) != z:
                 report.checked = surjectivity
@@ -486,14 +458,14 @@ def verify_g_morphism(frame1: SymbolicTreeFrame, frame2: SymbolicTreeFrame,
                              "tagged": [list(t) for t in z.letters]})
                 return report
         kinds = {1: frame1.kind, 2: frame2.kind}
-        tables = {1: MembershipTable(frame1.kind,
-                                     _enumerate_stored(b1, d, False, budget)),
-                  2: MembershipTable(frame2.kind,
-                                     _enumerate_stored(b2, d, False, budget))}
+        tables = {1: MembershipTable(frame1.kind, _enumerate_stored(
+                      b1, d, False, DEFAULT_SEQ_BUDGET)),
+                  2: MembershipTable(frame2.kind, _enumerate_stored(
+                      b2, d, False, DEFAULT_SEQ_BUDGET))}
         # successor words () R c per side, inside the window
         side_steps = {
             i: [(w.letters, tuple((i, x) for x in w.letters))
-                for w in enumerate_words(branching, d, budget=budget)
+                for w in enumerate_words(branching, d, budget=DEFAULT_SEQ_BUDGET)
                 if _rel_on_tuples(kinds[i], (), w.letters)]
             for i, branching in ((1, b1), (2, b2))}
         g_cache: dict[tuple[tuple[int, ...], tuple[int, ...]],
@@ -629,8 +601,7 @@ def _count_below(keys: list[tuple[int, ...]], t: tuple[int, ...], width: int, *,
 
 def lex_window_compare(frame: SymbolicTreeFrame, alpha: PseudoSeq, k: int, d: int, *,
                        k_max: int | None = None,
-                       anchor_left_closed: bool = False,
-                       budget: int = DEFAULT_SEQ_BUDGET) -> VerificationReport:
+                       anchor_left_closed: bool = False) -> VerificationReport:
     """Order-topology window check for the transitive kinds.
 
     interval-inside      the open interval around prefix(alpha, max(k, st))
@@ -664,10 +635,10 @@ def lex_window_compare(frame: SymbolicTreeFrame, alpha: PseudoSeq, k: int, d: in
     report = VerificationReport(
         lemma="lex-window",
         params={"kind": frame.kind.value, "branching": frame.branching,
-                "alpha": _seq_json(alpha), "k": k, "d": d, "k_max": k_max,
+                "alpha": list(alpha.stored), "k": k, "d": d, "k_max": k_max,
                 "anchor_left_closed": anchor_left_closed})
     with Stopwatch(report):
-        window = _enumerate_stored(frame.branching, d, True, budget)
+        window = _enumerate_stored(frame.branching, d, True, DEFAULT_SEQ_BUDGET)
         table = MembershipTable(frame.kind, window)
         # lex order of the window: rank[i] is the position of window[i]
         width = max(d, 0) + 1

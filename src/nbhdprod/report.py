@@ -8,7 +8,6 @@ Reports are plain data and serialize to JSON deterministically.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from typing import Any
@@ -44,9 +43,6 @@ class VerificationReport:
         if include_millis:
             out["millis"] = self.millis
         return out
-
-    def to_json(self, include_millis: bool = True) -> str:
-        return json.dumps(self.to_dict(include_millis=include_millis), indent=2)
 
 
 class Stopwatch:

@@ -23,12 +23,11 @@ from .report import Stopwatch, VerificationReport
 
 
 def random_kripke_frame(rng: Random, max_worlds: int = 4,
-                        modalities: Sequence[int] = (1, 2),
-                        edge_p: float = 0.4) -> FiniteKripkeFrame:
+                        modalities: Sequence[int] = (1, 2)) -> FiniteKripkeFrame:
     n = rng.randint(1, max_worlds)
     worlds = tuple(f"w{i}" for i in range(n))
     rel = {i: frozenset((a, b) for a in worlds for b in worlds
-                        if rng.random() < edge_p)
+                        if rng.random() < 0.4)
            for i in modalities}
     return FiniteKripkeFrame(worlds, rel)
 

@@ -1,9 +1,12 @@
 """Command line surface: subcommands, exit codes, JSON and text output,
 budget marker, and byte-level determinism."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nbhdprod.cli import main
 
@@ -199,6 +202,8 @@ def test_verify_budget_marker(capsys):
     ("--lemma", "g-morphism", "--depth", "0"),
     ("--lemma", "g-morphism", "--depth", "1"),
     ("--lemma", "lex", "--kind", "rt", "--depth", "1"),
+    ("--lemma", "fractal", "--depth", "0"),
+    ("--lemma", "fractal", "--depth", "-2"),
 ])
 def test_verify_rejects_windows_too_small_to_check(capsys, argv):
     code, out, err = run_cli(capsys, "verify", *argv)
@@ -208,7 +213,8 @@ def test_verify_rejects_windows_too_small_to_check(capsys, argv):
     assert "--depth" in err
 
 
-@pytest.mark.parametrize("lemma,depth", [("chain", 1), ("ff-morphism", 1),
+@pytest.mark.parametrize("lemma,depth", [("fractal", 1), ("chain", 1),
+                                         ("ff-morphism", 1),
                                          ("axiom-evidence", 1),
                                          ("g-morphism", 2), ("lex", 2)])
 def test_verify_smallest_windows_check_something(capsys, lemma, depth):
@@ -276,3 +282,86 @@ def test_bad_bounds_exit_2(capsys):
                            "--bounds", "1,2")
     assert code == 2
     assert err.startswith("usage error:")
+
+
+@pytest.mark.parametrize("data,path", [
+    ({"worlds": ["a", "b"], "base": {"1": {"a": [["a"]]}}}, "$.base.1"),
+    ({"worlds": ["a"], "base": {"1": {"a": [["a", "zz"]]}}}, "$.base.1.a[0][1]"),
+    ({"base": {"1": {"a": [["a"]]}}}, "$.worlds"),
+    ([{"worlds": ["a"]}], "$"),
+])
+@pytest.mark.parametrize("command", ["valid", "mc", "char"])
+def test_malformed_frames_exit_2(capsys, tmp_path, data, path, command):
+    frame = tmp_path / "frame.json"
+    frame.write_text(json.dumps(data), encoding="utf-8")
+    flag = "--model" if command == "mc" else "--frame"
+    formula = () if command == "char" else ("--formula", "p")
+    code, out, err = run_cli(capsys, command, flag, str(frame), *formula)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"usage error: {path}: ")
+
+
+def test_malformed_relational_frame_exits_2(capsys, tmp_path):
+    frame = tmp_path / "kripke.json"
+    frame.write_text(json.dumps({"worlds": ["w"], "rel": {"1": [["w"]]}}),
+                     encoding="utf-8")
+    code, out, err = run_cli(capsys, "nof", "--frame", str(frame))
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: $.rel.1: ")
+
+
+@pytest.mark.parametrize("text", [
+    "~" * 3000 + "p",
+    "(" * 3000 + "p" + ")" * 3000,
+    " & ".join(["p"] * 1000),
+    " -> ".join(["p"] * 1000),
+])
+def test_deep_formulas_exit_2(capsys, text):
+    code, out, err = run_cli(capsys, "parse", "--formula", text)
+    assert (code, out) == (2, "")
+    assert err.startswith("formula error: formula nests deeper than")
+
+
+# --- fuzzing: malformed files and formula text never escape as exceptions ---------
+
+_WORLDS = st.sampled_from(["a", "b", "zz"])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-1, 3) | _WORLDS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["1", "2", "3", "x", "a", "b", "worlds", "base"]),
+        inner, max_size=3),
+    max_leaves=8)
+_SETS = st.dictionaries(_WORLDS, st.lists(st.lists(_WORLDS, max_size=3), max_size=2)
+                        | _JSON, max_size=3)
+_FILES = _JSON | st.fixed_dictionaries({}, optional={
+    "worlds": st.lists(_WORLDS, max_size=3) | _JSON,
+    "base": st.dictionaries(st.sampled_from(["1", "2", "3", "x"]), _SETS | _JSON,
+                            max_size=2) | _JSON,
+    "rel": st.dictionaries(st.sampled_from(["1", "2", "x"]),
+                           st.lists(st.lists(_WORLDS, max_size=3), max_size=3)
+                           | _JSON, max_size=2) | _JSON,
+    "val": st.dictionaries(st.sampled_from(["p", "q"]),
+                           st.lists(_WORLDS, max_size=3) | _JSON, max_size=2) | _JSON,
+})
+_FORMULAS = st.text(max_size=8) | st.lists(st.sampled_from(
+    ["p", "q", "~", "&", "|", "->", "(", ")", "[1]", "[2]", "[3]", "<1>", "<>",
+     "true", "false", "@"]), max_size=12).map(" ".join)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_FILES, formula=_FORMULAS)
+def test_fuzzed_inputs_exit_with_a_code(tmp_path, data, formula):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    f = str(path)
+    for argv in (["valid", "--frame", f, "--formula", formula],
+                 ["mc", "--model", f, "--formula", formula],
+                 ["mc", "--model", f, "--formula", formula, "--world", "a"],
+                 ["char", "--frame", f], ["nof", "--frame", f],
+                 ["product", "--frame", f, "--frame2", f],
+                 ["parse", "--formula", formula]):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 1, 2)

@@ -85,7 +85,7 @@ def test_st_com_on_chr_control_rejected_at_reflexive_pair():
 
 def test_certificate_json_shape():
     cert = check_com_certificate(FRAMES[FrameKind.IN], FRAMES[FrameKind.RT])
-    data = json.loads(cert.to_json())
+    data = json.loads(json.dumps(cert.to_dict()))
     assert data["axiom"] == "com"
     assert data["kinds"] == ["in", "rt"]
     assert data["branchings"] == [1, 1]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nbhdprod.formula import (Atom, AxiomScheme, BOT, Bottom, Box, Implies,
-                              LOGICS, ParseError, and_, atom, atoms,
+                              LOGICS, MAX_NESTING, ParseError, and_, atom, atoms,
                               axiom_instance, box, diamond, fusion_axioms,
                               generate_formulas, implies, modal_depth, not_,
                               or_, parse, top, unparse)
@@ -198,3 +198,22 @@ def test_round_trip_property(phi):
 def test_depth_zero_means_no_box(phi):
     has_box = "[" in unparse(phi)
     assert (modal_depth(phi) == 0) == (not has_box)
+
+
+def test_nesting_bound():
+    assert modal_depth(parse("[1]" * MAX_NESTING + "p")) == MAX_NESTING
+    for text in ("[1]" * (MAX_NESTING + 1) + "p",
+                 "(" * (2 * MAX_NESTING + 1) + "p" + ")" * (2 * MAX_NESTING + 1),
+                 " & ".join(["p"] * MAX_NESTING)):
+        with pytest.raises(ParseError, match="nests deeper"):
+            parse(text)
+
+
+def test_round_trip_at_the_nesting_bound():
+    # [1] (q -> ...) opens the most parentheses per level of the printed text
+    phi = atom("p")
+    for _ in range(MAX_NESTING // 2):
+        phi = box(1, implies(atom("q"), phi))
+    assert parse(unparse(phi)) == phi
+    deepest_not = parse("~" * MAX_NESTING + "p")
+    assert parse(unparse(deepest_not)) == deepest_not

@@ -14,13 +14,13 @@ import pytest
 from nbhdprod.kripke import (FrameKind, SymbolicTreeFrame,
                              enumerate_tagged_words, enumerate_words,
                              tagged_word, word, word_rel)
-from nbhdprod.omega import (ProductPoint, PseudoSeq, SymbolicSet,
-                            axiom_evidence, check_chain, enumerate_pseudo,
-                            forget_zeros, g_map, g_preimage, lex_between,
-                            lex_compare, lex_window_compare, lift, prefix,
+from nbhdprod.omega import (ProductPoint, PseudoSeq, axiom_evidence,
+                            check_chain, enumerate_pseudo, forget_zeros,
+                            g_map, g_preimage, lex_between, lex_compare,
+                            lex_window_compare, lift, prefix,
                             product_u_contains, pseudo, strict_bounds_witnesses,
-                            u_contains, u_set, verify_ff_morphism,
-                            verify_g_morphism, zero_seq)
+                            u_contains, verify_ff_morphism, verify_g_morphism,
+                            zero_seq)
 from nbhdprod.report import BudgetExceeded
 
 IN2 = SymbolicTreeFrame(FrameKind.IN, 2)
@@ -144,14 +144,6 @@ def test_u_contains_errors():
         u_contains(IN2, zero, 1, zero_seq(2, signed=True))
     with pytest.raises(ValueError):
         u_contains(IN2, zero, -1, zero)
-
-
-def test_u_set_enumeration_exact_and_monotone():
-    s = u_set(RT2, zero_seq(2), 2)
-    for d in (2, 3):
-        members = s.enumerate(d)
-        assert members == [x for x in enumerate_pseudo(2, d) if s.contains(x)]
-    assert set(s.enumerate(2)) <= set(s.enumerate(3))
 
 
 # --- chain lemma ---------------------------------------------------------------------
