@@ -1,10 +1,12 @@
-"""Golden corpus: the exact stdout of fixed window and certificate commands
-and the reports of the failing controls, diffed byte for byte against
-tests/golden/.
+"""Golden corpus: the exact stdout of fixed window, certificate and
+finite-frame commands and the reports of the failing controls, diffed byte
+for byte against tests/golden/.
 
 The corpus pins every counter, layer count, witness log and first
-counterexample of the window lemmas and the countermodel certificates, so
-a faster implementation must reproduce them exactly.
+counterexample of the window lemmas, the countermodel certificates and the
+finite-frame deciders (valid, mc, parse and the seeded sweeps), plus the
+bounded evaluator's labels, so a faster implementation must reproduce them
+exactly.
 Regenerate it only when an output is meant to change:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -18,6 +20,7 @@ import itertools
 import json
 import pathlib
 import sys
+import tempfile
 from typing import Callable
 
 import pytest
@@ -25,8 +28,11 @@ import pytest
 from nbhdprod.cli import main
 from nbhdprod.countermodel import (Bounds, check_chr_certificate,
                                    check_com_certificate, const_true_valuation,
+                                   eval_bounded, st_chr_valuation,
                                    st_com_valuation)
+from nbhdprod.formula import parse
 from nbhdprod.kripke import FrameKind, SymbolicTreeFrame, check_fractal
+from nbhdprod.nbhd import FiniteNFrame, product_n
 from nbhdprod.omega import (ProductPoint, check_chain, lex_window_compare,
                             pseudo, verify_g_morphism, zero_seq)
 
@@ -56,8 +62,72 @@ def _certificate(call: Callable[[], object]) -> Callable[[], str]:
     return run
 
 
+def _cli_files(files: dict[str, dict], *argv: str) -> Callable[[], str]:
+    """_cli with each "@name" argument replaced by the path of a temporary
+    JSON file holding files[name]."""
+    def run() -> str:
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {}
+            for name, data in files.items():
+                path = pathlib.Path(tmp) / f"{name}.json"
+                path.write_text(json.dumps(data), encoding="utf-8")
+                paths[f"@{name}"] = str(path)
+            return _cli(*(paths.get(arg, arg) for arg in argv))()
+    return run
+
+
 def _frame(kind: str, branching: int = 2) -> SymbolicTreeFrame:
     return SymbolicTreeFrame(FrameKind(kind), branching)
+
+
+def _uni(base: dict[str, list[list[str]]]) -> FiniteNFrame:
+    return FiniteNFrame.from_dict({"worlds": list(base), "base": {"1": base}})
+
+
+def _product(left: FiniteNFrame, right: FiniteNFrame) -> dict:
+    return product_n(left, right).to_dict()
+
+
+# unimodal factors: S4 and D4 with redundant superset bases, T, an improper
+# point (D fails) and an irreflexive swap (T and Four fail)
+S4 = _uni({"a0": [["a0", "a1", "a2"]], "a1": [["a1", "a2"], ["a0", "a1", "a2"]],
+           "a2": [["a2"]]})
+D4 = _uni({"b0": [["b1"]], "b1": [["b1"], ["b0", "b1"]]})
+T2 = _uni({"c0": [["c0", "c1"], ["c0"]], "c1": [["c1"]]})
+IMPROPER = _uni({"d0": [[]], "d1": [["d0"]]})
+SWAP = _uni({"e0": [["e1"]], "e1": [["e0"]]})
+# a bimodal frame that is no product: Com and Chr fail on it
+MIXED = {"worlds": ["x", "y", "z"], "base": {
+    "1": {"x": [["y"]], "y": [["y", "z"]], "z": [["x", "z"], ["z"]]},
+    "2": {"x": [["x", "z"]], "y": [["x"]], "z": [[]]}}}
+FINITE_FRAMES = {
+    "s4xd4": _product(S4, D4),
+    "improperxt": _product(IMPROPER, T2),
+    "swapxt": _product(SWAP, T2),
+    "mixed": MIXED,
+}
+FORMULAS = {
+    "k1": "[1](p -> q) -> [1]p -> [1]q", "k2": "[2](p -> q) -> [2]p -> [2]q",
+    "d1": "[1]p -> <1>p", "d2": "[2]p -> <2>p",
+    "t1": "[1]p -> p", "t2": "[2]p -> p",
+    "four1": "[1]p -> [1][1]p", "four2": "[2]p -> [2][2]p",
+    "com": "[1][2]p -> [2][1]p", "chr": "<1>[2]p -> [2]<1>p",
+    "mixed-2-atoms": "[2] p & [2] q -> [1] (p & q)",
+    "mixed-late": "p & q & [2] p -> [1] (p & q)",
+    "budget-3-atoms": "p -> q -> r",
+}
+VALID_CASES = {
+    "s4xd4": ("k1", "k2", "d1", "d2", "t1", "t2", "four1", "four2", "com",
+              "chr", "budget-3-atoms"),
+    "improperxt": ("d1", "t1", "d2", "com", "chr"),
+    "swapxt": ("t1", "four1", "t2", "com", "chr"),
+    "mixed": ("com", "chr", "k1", "mixed-2-atoms", "mixed-late"),
+}
+MODEL = dict(FINITE_FRAMES["s4xd4"], val={
+    "p": ["a0,b1", "a1,b0", "a1,b1", "a2,b1"], "q": ["a2,b0", "a2,b1"]})
+PARSE_TEXTS = ("p", "false", "true", "~(p & q) | [2] r", "<1>[2]p -> [2]<1>p",
+               "[1](p -> q) -> [1]p -> [1]q", "[1][1][2] s_1 -> <2> t",
+               "(p -> p) -> false")
 
 
 def _cases() -> dict[str, Callable[[], str]]:
@@ -118,7 +188,40 @@ def _cases() -> dict[str, Callable[[], str]]:
         cases[f"control-chr-st-com-{kind}-{kind}-b1"] = _certificate(
             lambda f=_frame(kind, 1): check_chr_certificate(
                 f, f, Bounds(), valuation=st_com_valuation(anchor)))
+    # finite frames: validity with first counterexamples, model checking at
+    # every world and at one, parsing, and the seeded sweeps
+    for frame, names in VALID_CASES.items():
+        for name in names:
+            cases[f"valid-{frame}-{name}"] = _cli_files(
+                {"frame": FINITE_FRAMES[frame]}, "valid", "--frame", "@frame",
+                "--formula", FORMULAS[name])
+    for name in ("k1", "t2", "four2", "com", "chr", "mixed-late"):
+        cases[f"mc-s4xd4-{name}"] = _cli_files(
+            {"model": MODEL}, "mc", "--model", "@model", "--formula", FORMULAS[name])
+        for world in ("a0,b0", "a2,b1"):
+            cases[f"mc-s4xd4-{name}-at-{world.replace(',', '.')}"] = _cli_files(
+                {"model": MODEL}, "mc", "--model", "@model", "--formula",
+                FORMULAS[name], "--world", world)
+    for n, text in enumerate(PARSE_TEXTS):
+        cases[f"parse-{n}"] = _cli("parse", "--formula", text)
+    for lemma in ("nf-agreement", "fusion-axioms", "finite-com"):
+        cases[f"verify-{lemma}-seed0"] = _cli("verify", "--lemma", lemma,
+                                              "--seed", "0")
+    # the bounded evaluator's label at the anchor, per kind pair
+    for axiom, make_val in (("com", st_com_valuation), ("chr", st_chr_valuation)):
+        phi = parse(FORMULAS[axiom])
+        for branching in (1, 2):
+            cases[f"eval-bounded-{axiom}-b{branching}"] = (
+                lambda f=phi, v=make_val, b=branching: _eval_labels(f, v, b))
     return cases
+
+
+def _eval_labels(phi, make_val, branching: int) -> str:
+    anchor = ProductPoint(zero_seq(branching), zero_seq(branching))
+    labels = {f"{k1}-{k2}": eval_bounded(_frame(k1, branching), _frame(k2, branching),
+                                         phi, anchor, make_val(anchor)).label
+              for k1, k2 in itertools.product(KINDS, KINDS)}
+    return json.dumps(labels, indent=2) + "\n"
 
 
 CASES = _cases()
