@@ -5,13 +5,15 @@ object (the default) or a flat text rendering of the same object. Reports
 omit wall-clock times unless --timings is given, so identical commands give
 byte-identical output. Exit codes: 0 all checks pass, 1 a property violated
 or a budget exceeded (the object carries a "budget" key), 2 usage or format
-errors.
+errors. A closed stdout (a reader such as `head` that quit early) exits 1
+with nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Any, Callable, Mapping, Sequence
 
@@ -114,6 +116,8 @@ def _cmd_product(args: argparse.Namespace) -> int:
 
 
 def _cmd_tree(args: argparse.Namespace) -> int:
+    if args.depth < 0:
+        raise ValueError(f"--depth must be >= 0, got {args.depth}")
     frame = SymbolicTreeFrame(FrameKind(args.kind), args.branching)
     words = enumerate_words(args.branching, args.depth)
     worlds = tuple(_word_id(w) for w in words)
@@ -289,9 +293,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
-    except BudgetExceeded as exc:
-        _emit({"budget": str(exc)}, args)
+        try:
+            code = args.handler(args)
+        except BudgetExceeded as exc:
+            _emit({"budget": str(exc)}, args)
+            code = 1
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout is gone, so the answer cannot be delivered.
+        # Pointing stdout at devnull keeps the flush at exit from failing too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except ParseError as exc:
         print(f"formula error: {exc}", file=sys.stderr)

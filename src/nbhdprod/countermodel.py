@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .formula import Atom, Bottom, Box, Formula, Implies, atoms
+from .formula import OP_ATOM, OP_BOTTOM, OP_IMPLIES, Formula, compile_formula
 from .kripke import SymbolicTreeFrame
 from .omega import (MembershipTable, ProductPoint, PseudoSeq, enumerate_pseudo,
                     point_json, prefix, pseudo, u_contains, zero_seq)
@@ -319,7 +319,8 @@ def eval_bounded(frame1: SymbolicTreeFrame, frame2: SymbolicTreeFrame,
     Results carry the @bounds label for that reason; the certificates supply
     the unbounded argument for the layers that matter.
     """
-    if not atoms(phi) <= {"p"}:
+    nodes = compile_formula(phi)
+    if any(op == OP_ATOM and x != "p" for op, x, _ in nodes):
         raise ValueError("eval_bounded supports the single atom p")
     frames = {1: frame1, 2: frame2}
     suffixes = {i: [s.stored for s in
@@ -327,7 +328,7 @@ def eval_bounded(frame1: SymbolicTreeFrame, frame2: SymbolicTreeFrame,
                     if s.stored]
                 for i in (1, 2)}
     members_cache: dict[tuple[int, PseudoSeq, int], list[PseudoSeq]] = {}
-    memo: dict[tuple[Formula, ProductPoint], bool] = {}
+    memo: dict[tuple[int, ProductPoint], bool] = {}
 
     def members(i: int, center: PseudoSeq, cap: int) -> list[PseudoSeq]:
         key = (i, center, cap)
@@ -341,29 +342,27 @@ def eval_bounded(frame1: SymbolicTreeFrame, frame2: SymbolicTreeFrame,
             members_cache[key] = hit
         return hit
 
-    def ev(f: Formula, q: ProductPoint) -> bool:
-        key = (f, q)
+    def ev(k: int, q: ProductPoint) -> bool:
+        key = (k, q)
         hit = memo.get(key)
         if hit is not None:
             return hit
-        if isinstance(f, Bottom):
+        op, x, y = nodes[k]
+        if op == OP_BOTTOM:
             out = False
-        elif isinstance(f, Atom):
+        elif op == OP_ATOM:
             out = valuation.contains(q)
-        elif isinstance(f, Implies):
-            out = (not ev(f.left, q)) or ev(f.right, q)
+        elif op == OP_IMPLIES:
+            out = (not ev(x, q)) or ev(y, q)
         else:
-            if not isinstance(f, Box):
-                raise TypeError(f"not a formula: {f!r}")
-            i = f.index
-            moving = q.first if i == 1 else q.second
             cap = max(bounds.m_max, q.first.st, q.second.st)
-            row = members(i, moving, cap)
-            if i == 1:
-                out = all(ev(f.body, ProductPoint(c, q.second)) for c in row)
+            if x == 1:
+                out = all(ev(y, ProductPoint(c, q.second))
+                          for c in members(1, q.first, cap))
             else:
-                out = all(ev(f.body, ProductPoint(q.first, c)) for c in row)
+                out = all(ev(y, ProductPoint(q.first, c))
+                          for c in members(2, q.second, cap))
         memo[key] = out
         return out
 
-    return BoundedResult(ev(phi, point), bounds)
+    return BoundedResult(ev(len(nodes) - 1, point), bounds)

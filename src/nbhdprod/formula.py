@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 from .report import BudgetExceeded
 
@@ -88,36 +88,54 @@ def diamond(i: int, phi: Formula) -> Formula:
     return not_(Box(i, not_(phi)))
 
 
+# Nodes of compile_formula: (OP_BOTTOM, None, None), (OP_ATOM, name, None),
+# (OP_IMPLIES, left, right) and (OP_BOX, modality, body), where left, right
+# and body are positions of earlier nodes.
+OP_BOTTOM, OP_ATOM, OP_IMPLIES, OP_BOX = "false", "atom", "->", "box"
+Node = tuple[str, Any, Any]
+
+
+def compile_formula(phi: Formula) -> list[Node]:
+    """The distinct subformulas of phi in post-order, each once, root last.
+
+    This is the one walk over the formula tree; evaluators and the folds
+    below read the node list instead of dispatching on the classes.
+    """
+    position: dict[Node, int] = {}  # insertion order is post-order
+
+    def visit(f: Formula) -> int:
+        if isinstance(f, Implies):
+            node: Node = (OP_IMPLIES, visit(f.left), visit(f.right))
+        elif isinstance(f, Box):
+            node = (OP_BOX, f.index, visit(f.body))
+        elif isinstance(f, Atom):
+            node = (OP_ATOM, f.name, None)
+        elif isinstance(f, Bottom):
+            node = (OP_BOTTOM, None, None)
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+        return position.setdefault(node, len(position))
+
+    visit(phi)
+    return list(position)
+
+
 def modal_depth(phi: Formula) -> int:
-    if isinstance(phi, (Atom, Bottom)):
-        return 0
-    if isinstance(phi, Implies):
-        return max(modal_depth(phi.left), modal_depth(phi.right))
-    if isinstance(phi, Box):
-        return 1 + modal_depth(phi.body)
-    raise TypeError(f"not a formula: {phi!r}")
+    depth: list[int] = []
+    for op, x, y in compile_formula(phi):
+        if op == OP_IMPLIES:
+            depth.append(max(depth[x], depth[y]))
+        else:
+            depth.append(depth[y] + 1 if op == OP_BOX else 0)
+    return depth[-1]
 
 
 def atoms(phi: Formula) -> frozenset[str]:
-    if isinstance(phi, Atom):
-        return frozenset({phi.name})
-    if isinstance(phi, Bottom):
-        return frozenset()
-    if isinstance(phi, Implies):
-        return atoms(phi.left) | atoms(phi.right)
-    if isinstance(phi, Box):
-        return atoms(phi.body)
-    raise TypeError(f"not a formula: {phi!r}")
+    return frozenset(x for op, x, _ in compile_formula(phi) if op == OP_ATOM)
 
 
 def modalities_of(phi: Formula) -> frozenset[int]:
-    if isinstance(phi, (Atom, Bottom)):
-        return frozenset()
-    if isinstance(phi, Implies):
-        return modalities_of(phi.left) | modalities_of(phi.right)
-    if isinstance(phi, Box):
-        return frozenset({phi.index}) | modalities_of(phi.body)
-    raise TypeError(f"not a formula: {phi!r}")
+    return frozenset(x for op, x, _ in compile_formula(phi) if op == OP_BOX)
 
 
 # --- parsing ---------------------------------------------------------------

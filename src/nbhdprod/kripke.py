@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Collection, Iterable, Mapping, Sequence
 
-from .formula import Atom, Bottom, Box, Formula, Implies
+from .formula import OP_ATOM, OP_BOTTOM, OP_IMPLIES, Formula, compile_formula
 from .report import BudgetExceeded, Stopwatch, VerificationReport
 
 DEFAULT_WORD_BUDGET = 500_000
@@ -293,7 +293,9 @@ def frame_props(frame: FiniteKripkeFrame) -> dict[int, FrameProps]:
     return out
 
 
-def _kripke_masks(frame: FiniteKripkeFrame) -> tuple[dict[str, int], dict[int, list[int]]]:
+def denotation(frame: FiniteKripkeFrame, valuation: Mapping[str, Iterable[str]],
+               phi: Formula) -> frozenset[str]:
+    """Worlds where phi holds under the relational box clause."""
     index = {w: n for n, w in enumerate(frame.worlds)}
     succ_masks: dict[int, list[int]] = {}
     for i in frame.modalities:
@@ -301,46 +303,7 @@ def _kripke_masks(frame: FiniteKripkeFrame) -> tuple[dict[str, int], dict[int, l
         for a, b in frame.rel[i]:
             masks[index[a]] |= 1 << index[b]
         succ_masks[i] = masks
-    return index, succ_masks
-
-
-def _denotation_mask(phi: Formula, atom_masks: Mapping[str, int],
-                     succ_masks: Mapping[int, list[int]], n: int, full: int,
-                     cache: dict[Formula, int]) -> int:
-    hit = cache.get(phi)
-    if hit is not None:
-        return hit
-    if isinstance(phi, Bottom):
-        out = 0
-    elif isinstance(phi, Atom):
-        if phi.name not in atom_masks:
-            raise ValueError(f"unknown atom {phi.name!r}")
-        out = atom_masks[phi.name]
-    elif isinstance(phi, Implies):
-        left = _denotation_mask(phi.left, atom_masks, succ_masks, n, full, cache)
-        right = _denotation_mask(phi.right, atom_masks, succ_masks, n, full, cache)
-        out = (full & ~left) | right
-    else:
-        if not isinstance(phi, Box):
-            raise TypeError(f"not a formula: {phi!r}")
-        if phi.index not in succ_masks:
-            raise ValueError(f"frame has no modality {phi.index}")
-        body = _denotation_mask(phi.body, atom_masks, succ_masks, n, full, cache)
-        masks = succ_masks[phi.index]
-        out = 0
-        for w in range(n):
-            if masks[w] & ~body == 0:
-                out |= 1 << w
-    cache[phi] = out
-    return out
-
-
-def denotation(frame: FiniteKripkeFrame, valuation: Mapping[str, Iterable[str]],
-               phi: Formula) -> frozenset[str]:
-    """Worlds where phi holds under the relational box clause."""
-    index, succ_masks = _kripke_masks(frame)
-    n = len(frame.worlds)
-    full = (1 << n) - 1
+    full = (1 << len(frame.worlds)) - 1
     atom_masks: dict[str, int] = {}
     for name, ws in valuation.items():
         mask = 0
@@ -349,8 +312,23 @@ def denotation(frame: FiniteKripkeFrame, valuation: Mapping[str, Iterable[str]],
                 raise ValueError(f"unknown world {w!r} in valuation")
             mask |= 1 << index[w]
         atom_masks[name] = mask
-    out = _denotation_mask(phi, atom_masks, succ_masks, n, full, {})
-    return frozenset(w for w, k in index.items() if out >> k & 1)
+    values: list[int] = []
+    for op, x, y in compile_formula(phi):
+        if op == OP_BOTTOM:
+            out = 0
+        elif op == OP_ATOM:
+            if x not in atom_masks:
+                raise ValueError(f"unknown atom {x!r}")
+            out = atom_masks[x]
+        elif op == OP_IMPLIES:
+            out = (full & ~values[x]) | values[y]
+        else:
+            if x not in succ_masks:
+                raise ValueError(f"frame has no modality {x}")
+            out = sum(1 << w for w, succ in enumerate(succ_masks[x])
+                      if succ & ~values[y] == 0)
+        values.append(out)
+    return frozenset(w for w, k in index.items() if values[-1] >> k & 1)
 
 
 def satisfies(frame: FiniteKripkeFrame, valuation: Mapping[str, Iterable[str]],

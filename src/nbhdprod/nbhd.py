@@ -12,10 +12,13 @@ D axiom) can fail.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from functools import reduce
+from operator import and_, or_
+from typing import Any, Mapping
 
-from .formula import (Atom, Bottom, Box, Formula, Implies, atoms,
-                      generate_formulas, modalities_of, unparse)
+from .formula import (OP_ATOM, OP_BOTTOM, OP_IMPLIES, Formula, atoms,
+                      compile_formula, generate_formulas, modalities_of,
+                      unparse)
 from .kripke import FiniteKripkeFrame, _expect, _modality, _worlds
 from .report import BudgetExceeded, Stopwatch, VerificationReport
 
@@ -137,63 +140,48 @@ class FiniteNModel:
         return cls(frame, val)
 
 
-# --- satisfaction over bitmasks ------------------------------------------------
+# --- satisfaction over truth vectors ----------------------------------------------
 
-class _Compiled:
-    """Worlds as bit positions; base sets as masks. One compile per sweep."""
+def _truth(frame: FiniteNFrame, phi: Formula,
+           atom_vectors: Mapping[str, list[int]], full: int) -> list[int]:
+    """Truth vectors of phi, one per world in declaration order: bit v of a
+    vector is the value of phi at that world under valuation v.
 
-    def __init__(self, frame: FiniteNFrame):
-        self.n = len(frame.worlds)
-        self.full = (1 << self.n) - 1
-        self.index = {w: k for k, w in enumerate(frame.worlds)}
-        self.base_masks: dict[int, list[list[int]]] = {}
-        for i in frame.modalities:
-            rows = []
-            for w in frame.worlds:
-                rows.append([self._mask(u) for u in frame.base[i][w]])
-            self.base_masks[i] = rows
-
-    def _mask(self, ws: Iterable[str]) -> int:
-        out = 0
-        for w in ws:
-            out |= 1 << self.index[w]
-        return out
-
-    def denotation(self, phi: Formula, atom_masks: Mapping[str, int],
-                   cache: dict[Formula, int]) -> int:
-        hit = cache.get(phi)
-        if hit is not None:
-            return hit
-        if isinstance(phi, Bottom):
-            out = 0
-        elif isinstance(phi, Atom):
-            if phi.name not in atom_masks:
-                raise ValueError(f"unknown atom {phi.name!r}")
-            out = atom_masks[phi.name]
-        elif isinstance(phi, Implies):
-            left = self.denotation(phi.left, atom_masks, cache)
-            right = self.denotation(phi.right, atom_masks, cache)
-            out = (self.full & ~left) | right
+    atom_vectors holds each atom's vectors in the same layout, and full has
+    a bit for every valuation, so one walk evaluates all valuations at once.
+    """
+    index = {w: k for k, w in enumerate(frame.worlds)}
+    rows = {i: [[[index[x] for x in u] for u in frame.base[i][w]]
+                for w in frame.worlds]
+            for i in frame.modalities}
+    values: list[list[int]] = []
+    for op, x, y in compile_formula(phi):
+        if op == OP_BOTTOM:
+            out = [0] * len(frame.worlds)
+        elif op == OP_ATOM:
+            if x not in atom_vectors:
+                raise ValueError(f"unknown atom {x!r}")
+            out = atom_vectors[x]
+        elif op == OP_IMPLIES:
+            out = [(full & ~a) | b for a, b in zip(values[x], values[y])]
         else:
-            if not isinstance(phi, Box):
-                raise TypeError(f"not a formula: {phi!r}")
-            if phi.index not in self.base_masks:
-                raise ValueError(f"frame has no modality {phi.index}")
-            body = self.denotation(phi.body, atom_masks, cache)
-            rows = self.base_masks[phi.index]
-            out = 0
-            for w in range(self.n):
-                if any(u & ~body == 0 for u in rows[w]):
-                    out |= 1 << w
-        cache[phi] = out
-        return out
+            if x not in rows:
+                raise ValueError(f"frame has no modality {x}")
+            # the monotone clause: some base set lies inside the body's truth set
+            body = values[y]
+            out = [reduce(or_, [reduce(and_, [body[m] for m in u], full)
+                                for u in row], 0)
+                   for row in rows[x]]
+        values.append(out)
+    return values[-1]
 
 
 def denotation(model: FiniteNModel, phi: Formula) -> frozenset[str]:
-    comp = _Compiled(model.frame)
-    atom_masks = {name: comp._mask(ws) for name, ws in model.valuation.items()}
-    out = comp.denotation(phi, atom_masks, {})
-    return frozenset(w for w, k in comp.index.items() if out >> k & 1)
+    worlds = model.frame.worlds
+    vectors = {name: [int(w in ws) for w in worlds]
+               for name, ws in model.valuation.items()}
+    out = _truth(model.frame, phi, vectors, 1)
+    return frozenset(w for w, t in zip(worlds, out) if t)
 
 
 def satisfies(model: FiniteNModel, w: str, phi: Formula) -> bool:
@@ -217,29 +205,32 @@ def valid_on_frame(frame: FiniteNFrame, phi: Formula) -> Counterexample | None:
 
     Valuations run in binary-counter order over (world, atom) pairs with
     worlds in declaration order and atoms sorted; worlds are scanned in
-    declaration order inside each valuation.
+    declaration order inside each valuation. All valuations are evaluated
+    at once: bit v of pair j's atom vector is bit j of v, so the first
+    counterexample is the lowest bit missing from some world's truth vector.
     """
     names = sorted(atoms(phi))
-    bits = len(frame.worlds) * len(names)
+    pairs = [(w, a) for w in frame.worlds for a in names]
+    bits = len(pairs)
     if bits > VALUATION_GUARD_BITS:
         raise BudgetExceeded(
             f"{bits} valuation bits exceeds guard {VALUATION_GUARD_BITS}")
-    comp = _Compiled(frame)
-    pairs = [(w, a) for w in frame.worlds for a in names]
-    for v in range(1 << bits):
-        atom_masks = {a: 0 for a in names}
-        for j, (w, a) in enumerate(pairs):
-            if v >> j & 1:
-                atom_masks[a] |= 1 << comp.index[w]
-        out = comp.denotation(phi, atom_masks, {})
-        if out != comp.full:
-            for w in frame.worlds:
-                if not out >> comp.index[w] & 1:
-                    val = {a: tuple(x for x in frame.worlds
-                                    if atom_masks[a] >> comp.index[x] & 1)
-                           for a in names}
-                    return Counterexample(val, w)
-    return None
+    full = (1 << (1 << bits)) - 1
+    vectors: dict[str, list[int]] = {a: [] for a in names}
+    for j, (_, a) in enumerate(pairs):
+        # 2 ** j zeros then 2 ** j ones, repeated: full // (2 ** period - 1)
+        # has a one at the start of every period
+        half = 1 << j
+        vectors[a].append(full // ((1 << 2 * half) - 1) * (((1 << half) - 1) << half))
+    out = _truth(frame, phi, vectors, full)
+    failing = full & ~reduce(and_, out, full)
+    if not failing:
+        return None
+    v = (failing & -failing).bit_length() - 1
+    world = next(w for w, t in zip(frame.worlds, out) if not t >> v & 1)
+    val = {a: tuple(w for j, (w, b) in enumerate(pairs) if b == a and v >> j & 1)
+           for a in names}
+    return Counterexample(val, world)
 
 
 @dataclass(frozen=True)
@@ -266,8 +257,10 @@ def structural_characteristics(frame: FiniteNFrame, i: int) -> Characteristics:
     if len(frame.worlds) > FOUR_GUARD_WORLDS:
         raise BudgetExceeded(
             f"{len(frame.worlds)} worlds exceeds guard {FOUR_GUARD_WORLDS} for four_ok")
-    comp = _Compiled(frame)
-    rows = comp.base_masks[i]
+    n = len(frame.worlds)
+    index = {w: k for k, w in enumerate(frame.worlds)}
+    rows = [[sum(1 << index[x] for x in u) for u in frame.base[i][w]]
+            for w in frame.worlds]
     d_ok = all(u != 0 for row in rows for u in row)
     t_ok = all(all(u >> w & 1 for u in row) for w, row in enumerate(rows))
 
@@ -275,16 +268,10 @@ def structural_characteristics(frame: FiniteNFrame, i: int) -> Characteristics:
         return any(b & ~u == 0 for b in rows[w])
 
     four_ok = True
-    for u in range(comp.full + 1):
-        holders = 0
-        for w in range(comp.n):
-            if in_filter(w, u):
-                holders |= 1 << w
-        for w in range(comp.n):
-            if holders >> w & 1 and not in_filter(w, holders):
-                four_ok = False
-                break
-        if not four_ok:
+    for u in range(1 << n):
+        holders = sum(1 << w for w in range(n) if in_filter(w, u))
+        if not all(in_filter(w, holders) for w in range(n) if holders >> w & 1):
+            four_ok = False
             break
     return Characteristics(d_ok, t_ok, four_ok)
 

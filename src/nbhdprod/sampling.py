@@ -42,7 +42,8 @@ def random_nframe(rng: Random, max_worlds: int = 3,
                   max_base: int = 3) -> FiniteNFrame:
     """Unimodal frame with 1..max_base chain base sets per point. Chains keep
     the filter-base property; empty sets are reachable and welcome (they are
-    the improper filters that falsify D)."""
+    the improper filters that falsify D). Draws follow world declaration
+    order, never set iteration order, so the frame depends on rng alone."""
     n = rng.randint(1, max_worlds)
     worlds = tuple(f"w{i}" for i in range(n))
     per_world: dict[str, tuple[frozenset[str], ...]] = {}
@@ -51,7 +52,8 @@ def random_nframe(rng: Random, max_worlds: int = 3,
         current = frozenset(x for x in worlds if rng.random() < 0.7)
         sets = [current]
         for _ in range(count - 1):
-            current = frozenset(x for x in current if rng.random() < 0.7)
+            current = frozenset(x for x in worlds
+                                if x in current and rng.random() < 0.7)
             sets.append(current)
         rng.shuffle(sets)
         per_world[w] = tuple(sets)

@@ -4,10 +4,15 @@ budget marker, and byte-level determinism."""
 import contextlib
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import nbhdprod
 from nbhdprod.cli import main
 
 
@@ -132,6 +137,21 @@ def test_tree_command(capsys):
     assert json.loads(out) == {"worlds": ["e", "1", "1.1"],
                                "base": {"1": {"e": [["1"]], "1": [["1.1"]],
                                               "1.1": [[]]}}}
+
+
+@pytest.mark.parametrize("depth", ["-1", "-3"])
+@pytest.mark.parametrize("nof", [(), ("--nof",)])
+def test_tree_rejects_negative_depth(capsys, depth, nof):
+    code, out, err = run_cli(capsys, "tree", "--kind", "in", "--depth", depth, *nof)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: --depth must be >= 0")
+
+
+def test_tree_depth_zero_is_the_root(capsys):
+    code, out, _ = run_cli(capsys, "tree", "--kind", "in", "--depth", "0")
+    assert code == 0
+    assert json.loads(out) == {"worlds": ["e"], "rel": {"1": []}}
 
 
 # --- verify -----------------------------------------------------------------------
@@ -269,6 +289,27 @@ def test_malformed_json_exits_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "char", "--frame", str(bad))
     assert code == 2
     assert err.startswith("input error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["parse", "--formula", "p"],
+    ["countermodel", "--axiom", "chr", "--kind1", "in", "--kind2", "in"],
+    ["tree", "--depth", "40"],
+])
+def test_closed_stdout_exits_1_quietly(argv):
+    """A reader that quit early (`| head`) is no input error: exit 1 and
+    nothing on stderr, for short and long output and for a budget marker."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(nbhdprod.__file__).parents[1]))
+    try:
+        done = subprocess.run([sys.executable, "-m", "nbhdprod", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env,
+                              timeout=60)
+    finally:
+        os.close(write_end)
+    assert done.stderr == b""
+    assert done.returncode == 1
 
 
 def test_formula_error_exits_2(capsys):

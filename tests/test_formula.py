@@ -3,11 +3,12 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from nbhdprod.formula import (Atom, AxiomScheme, BOT, Bottom, Box, Implies,
-                              LOGICS, MAX_NESTING, ParseError, and_, atom, atoms,
-                              axiom_instance, box, diamond, fusion_axioms,
-                              generate_formulas, implies, modal_depth, not_,
-                              or_, parse, top, unparse)
+from nbhdprod.formula import (OP_ATOM, OP_BOTTOM, OP_BOX, OP_IMPLIES, Atom,
+                              AxiomScheme, BOT, Bottom, Box, Implies, LOGICS,
+                              MAX_NESTING, ParseError, and_, atom, atoms,
+                              axiom_instance, box, compile_formula, diamond,
+                              fusion_axioms, generate_formulas, implies,
+                              modal_depth, not_, or_, parse, top, unparse)
 from nbhdprod.report import BudgetExceeded
 
 
@@ -73,6 +74,20 @@ def test_print_round_trip_of_sugar():
 def test_print_rejects_non_formula():
     with pytest.raises(TypeError, match="not a formula"):
         unparse("p")
+
+
+def test_compile_formula_lists_each_subformula_once_root_last():
+    assert compile_formula(parse("[1] p -> [1] p -> false")) == [
+        (OP_ATOM, "p", None), (OP_BOX, 1, 0), (OP_BOTTOM, None, None),
+        (OP_IMPLIES, 1, 2), (OP_IMPLIES, 1, 3)]
+    for phi in generate_formulas(2, ("p", "q")):
+        nodes = compile_formula(phi)
+        assert len(set(nodes)) == len(nodes)
+        for k, (op, x, y) in enumerate(nodes):
+            children = {OP_IMPLIES: (x, y), OP_BOX: (y,)}.get(op, ())
+            assert all(c < k for c in children)
+    with pytest.raises(TypeError, match="not a formula: 'q'"):
+        compile_formula(implies(atom("p"), "q"))
 
 
 def test_modal_depth():
