@@ -25,7 +25,7 @@ from .nbhd import (FiniteNFrame, FiniteNModel, denotation, nof, product_n,
                    satisfies, structural_characteristics, valid_on_frame)
 from .omega import (axiom_evidence, check_chain, lex_window_compare, pseudo,
                     verify_ff_morphism, verify_g_morphism, zero_seq)
-from .report import BudgetExceeded, Stopwatch, VerificationReport
+from .report import BudgetExceeded, VerificationReport
 from .sampling import (finite_com_sweep, fusion_soundness_sweep,
                        nf_agreement_sweep)
 
@@ -138,19 +138,18 @@ def _lex_suite(frame: SymbolicTreeFrame, depth: int,
               pseudo((1,), branching, signed=True),
               pseudo((-1,), branching, signed=True)]
     ks = list(range(1, min(bounds.k_max, depth - 1) + 1))
-    report = VerificationReport(
-        lemma="lex",
-        params={"kind": frame.kind.value, "branching": branching, "d": depth,
-                "k_values": ks, "alphas": [list(a.stored) for a in alphas]})
-    with Stopwatch(report):
+    with VerificationReport(
+            lemma="lex",
+            params={"kind": frame.kind.value, "branching": branching, "d": depth,
+                    "k_values": ks,
+                    "alphas": [list(a.stored) for a in alphas]}) as report:
         for alpha in alphas:
             for k in ks:
                 sub = lex_window_compare(frame, alpha, k, depth)
                 report.checked += sub.checked
                 if not sub.passed:
-                    report.fail({"alpha": list(alpha.stored), "k": k,
-                                 "inner": sub.counterexample})
-                    return report
+                    return report.fail({"alpha": list(alpha.stored), "k": k,
+                                        "inner": sub.counterexample})
     return report
 
 

@@ -19,7 +19,7 @@ recursion over the formula as a cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .formula import OP_ATOM, OP_BOTTOM, OP_IMPLIES, Formula, compile_formula
@@ -50,39 +50,54 @@ class SymbolicValuation:
     """Valuation of the single atom p over product points."""
 
     name: str
-    anchor: ProductPoint
     contains: Callable[[ProductPoint], bool]
 
 
 def st_com_valuation(anchor: ProductPoint) -> SymbolicValuation:
     def contains(q: ProductPoint) -> bool:
         return q.second == anchor.second or q.second.st >= q.first.st
-    return SymbolicValuation("st_com", anchor, contains)
+    return SymbolicValuation("st_com", contains)
 
 
 def st_chr_valuation(anchor: ProductPoint) -> SymbolicValuation:
     def contains(q: ProductPoint) -> bool:
         return q.first != anchor.first and \
             (q.second == anchor.second or q.second.st >= q.first.st)
-    return SymbolicValuation("st_chr", anchor, contains)
+    return SymbolicValuation("st_chr", contains)
 
 
 def const_true_valuation(anchor: ProductPoint) -> SymbolicValuation:
     """Sanity control: under p = everywhere-true no consequent can fail."""
-    return SymbolicValuation("const_true", anchor, lambda q: True)
+    return SymbolicValuation("const_true", lambda q: True)
 
 
 @dataclass
 class Certificate:
+    """The quantifier layers checked so far, in order; a rejected
+    certificate ends at the layer that failed."""
+
     axiom: str
     kinds: tuple[str, str]
     branchings: tuple[int, int]
     anchor: ProductPoint
     valuation: str
     bounds: Bounds
-    layers: list[dict[str, Any]]
-    accepted: bool
+    layers: list[dict[str, Any]] = field(default_factory=list)
+    accepted: bool = True
     failure: dict[str, Any] | None = None
+
+    def layer(self, name: str, **fields: Any) -> dict[str, Any]:
+        """Open the next layer; its checks count into the returned entry."""
+        entry = {"name": name, "checked": 0, "ok": True, **fields}
+        self.layers.append(entry)
+        return entry
+
+    def reject(self, failure: dict[str, Any]) -> Certificate:
+        """Fail the open layer, and with it the certificate."""
+        self.layers[-1]["ok"] = False
+        self.accepted = False
+        self.failure = failure
+        return self
 
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {
@@ -129,70 +144,47 @@ def check_com_certificate(frame1: SymbolicTreeFrame, frame2: SymbolicTreeFrame,
     b1, b2 = frame1.branching, frame2.branching
     anchor = ProductPoint(zero_seq(b1), zero_seq(b2))
     val = st_com_valuation(anchor) if valuation is None else valuation
-    layers: list[dict[str, Any]] = []
-    failure: dict[str, Any] | None = None
+    cert = Certificate("com", (frame1.kind.value, frame2.kind.value), (b1, b2),
+                       anchor, val.name, bounds)
 
     first_u = _zero_neighborhoods(frame1, bounds.d_enum)
     second_u = _zero_neighborhoods(frame2, bounds.d_enum)
 
-    checked = 0
-    ok = True
     outer_m = 1
+    layer = cert.layer("antecedent", outer_m=outer_m,
+                       inner_rule="max(st(alpha'), st(beta0))")
     for ap in first_u(outer_m):
         inner_j = max(ap.st, anchor.second.st)
         for bp in second_u(inner_j):
-            checked += 1
+            layer["checked"] += 1
             if not val.contains(ProductPoint(ap, bp)):
-                ok = False
-                failure = {"layer": "antecedent",
-                           "witness": point_json(ProductPoint(ap, bp)),
-                           "inner_j": inner_j}
-                break
-        if not ok:
-            break
-    layers.append({"name": "antecedent", "outer_m": outer_m,
-                   "inner_rule": "max(st(alpha'), st(beta0))",
-                   "checked": checked, "ok": ok})
+                return cert.reject({"layer": "antecedent",
+                                    "witness": point_json(ProductPoint(ap, bp)),
+                                    "inner_j": inner_j})
 
-    if ok:
-        checked = 0
-        witnesses: list[dict[str, Any]] = []
-        for m in range(1, bounds.m_max + 1):
-            beta = _zeros_then_one(m, b2)
-            checked += 1
-            if not u_contains(frame2, anchor.second, m, beta):
-                ok = False
-                failure = {"layer": "consequent", "m": m,
-                           "reason": "beta witness not in U_m(beta0)",
-                           "beta": list(beta.stored)}
-                break
-            entry: dict[str, Any] = {"m": m, "beta": list(beta.stored), "alphas": []}
-            for k in range(1, bounds.k_max + 1):
-                alpha = _zeros_then_one(max(k, beta.st), b1)
-                checked += 1
-                if not u_contains(frame1, anchor.first, k, alpha):
-                    ok = False
-                    failure = {"layer": "consequent", "m": m, "k": k,
-                               "reason": "alpha witness not in U_k(alpha0)",
-                               "alpha": list(alpha.stored)}
-                    break
-                if val.contains(ProductPoint(alpha, beta)):
-                    ok = False
-                    failure = {"layer": "consequent", "m": m, "k": k,
-                               "reason": "p not falsified",
-                               "witness": point_json(ProductPoint(alpha, beta))}
-                    break
-                entry["alphas"].append({"k": k, "alpha": list(alpha.stored)})
-            if not ok:
-                break
-            witnesses.append(entry)
-        layers.append({"name": "consequent", "checked": checked, "ok": ok,
-                       "witnesses": witnesses})
-
-    return Certificate("com", (frame1.kind.value, frame2.kind.value), (b1, b2),
-                       anchor, val.name, bounds, layers,
-                       accepted=all(layer["ok"] for layer in layers),
-                       failure=failure)
+    layer = cert.layer("consequent", witnesses=[])
+    for m in range(1, bounds.m_max + 1):
+        beta = _zeros_then_one(m, b2)
+        layer["checked"] += 1
+        if not u_contains(frame2, anchor.second, m, beta):
+            return cert.reject({"layer": "consequent", "m": m,
+                                "reason": "beta witness not in U_m(beta0)",
+                                "beta": list(beta.stored)})
+        entry: dict[str, Any] = {"m": m, "beta": list(beta.stored), "alphas": []}
+        for k in range(1, bounds.k_max + 1):
+            alpha = _zeros_then_one(max(k, beta.st), b1)
+            layer["checked"] += 1
+            if not u_contains(frame1, anchor.first, k, alpha):
+                return cert.reject({"layer": "consequent", "m": m, "k": k,
+                                    "reason": "alpha witness not in U_k(alpha0)",
+                                    "alpha": list(alpha.stored)})
+            if val.contains(ProductPoint(alpha, beta)):
+                return cert.reject({"layer": "consequent", "m": m, "k": k,
+                                    "reason": "p not falsified",
+                                    "witness": point_json(ProductPoint(alpha, beta))})
+            entry["alphas"].append({"k": k, "alpha": list(alpha.stored)})
+        layer["witnesses"].append(entry)
+    return cert
 
 
 def check_chr_certificate(frame1: SymbolicTreeFrame, frame2: SymbolicTreeFrame,
@@ -212,76 +204,52 @@ def check_chr_certificate(frame1: SymbolicTreeFrame, frame2: SymbolicTreeFrame,
     b1, b2 = frame1.branching, frame2.branching
     anchor = ProductPoint(zero_seq(b1), zero_seq(b2))
     val = st_chr_valuation(anchor) if valuation is None else valuation
-    layers: list[dict[str, Any]] = []
-    failure: dict[str, Any] | None = None
+    cert = Certificate("chr", (frame1.kind.value, frame2.kind.value), (b1, b2),
+                       anchor, val.name, bounds)
 
     first_u = _zero_neighborhoods(frame1, bounds.d_enum)
     second_u = _zero_neighborhoods(frame2, bounds.d_enum)
 
-    checked = 0
-    ok = True
-    witnesses: list[dict[str, Any]] = []
+    layer = cert.layer("antecedent", witnesses=[])
     for m in range(1, bounds.m_max + 1):
         alpha = _zeros_then_one(m, b1)
-        checked += 1
+        layer["checked"] += 1
         if not u_contains(frame1, anchor.first, m, alpha) or alpha == anchor.first:
-            ok = False
-            failure = {"layer": "antecedent", "m": m,
-                       "reason": "alpha witness not a fresh member of U_m(alpha0)",
-                       "alpha": list(alpha.stored)}
-            break
+            return cert.reject({"layer": "antecedent", "m": m,
+                                "reason": "alpha witness not a fresh member of U_m(alpha0)",
+                                "alpha": list(alpha.stored)})
         inner_j = alpha.st
         inner_checked = 0
         for bp in second_u(inner_j):
             inner_checked += 1
-            checked += 1
+            layer["checked"] += 1
             if not val.contains(ProductPoint(alpha, bp)):
-                ok = False
-                failure = {"layer": "antecedent", "m": m,
-                           "reason": "p fails inside the inner base set",
-                           "witness": point_json(ProductPoint(alpha, bp))}
-                break
-        if not ok:
-            break
-        witnesses.append({"m": m, "alpha": list(alpha.stored),
-                          "inner_j": inner_j, "inner_checked": inner_checked})
-    layers.append({"name": "antecedent", "checked": checked, "ok": ok,
-                   "witnesses": witnesses})
+                return cert.reject({"layer": "antecedent", "m": m,
+                                    "reason": "p fails inside the inner base set",
+                                    "witness": point_json(ProductPoint(alpha, bp))})
+        layer["witnesses"].append({"m": m, "alpha": list(alpha.stored),
+                                   "inner_j": inner_j, "inner_checked": inner_checked})
 
-    if ok:
-        checked = 0
-        witnesses = []
-        for j in range(1, bounds.m_max + 1):
-            beta = _zeros_then_one(j, b2)
-            checked += 1
-            if not u_contains(frame2, anchor.second, j, beta):
-                ok = False
-                failure = {"layer": "consequent", "j": j,
-                           "reason": "beta witness not in U_j(beta0)",
-                           "beta": list(beta.stored)}
-                break
-            k_star = max(bounds.k_max, beta.st)
-            inner_checked = 0
-            for ap in first_u(k_star):
-                inner_checked += 1
-                checked += 1
-                if val.contains(ProductPoint(ap, beta)):
-                    ok = False
-                    failure = {"layer": "consequent", "j": j, "k_star": k_star,
-                               "reason": "p not falsified",
-                               "witness": point_json(ProductPoint(ap, beta))}
-                    break
-            if not ok:
-                break
-            witnesses.append({"j": j, "beta": list(beta.stored),
-                              "k_star": k_star, "inner_checked": inner_checked})
-        layers.append({"name": "consequent", "checked": checked, "ok": ok,
-                       "witnesses": witnesses})
-
-    return Certificate("chr", (frame1.kind.value, frame2.kind.value), (b1, b2),
-                       anchor, val.name, bounds, layers,
-                       accepted=all(layer["ok"] for layer in layers),
-                       failure=failure)
+    layer = cert.layer("consequent", witnesses=[])
+    for j in range(1, bounds.m_max + 1):
+        beta = _zeros_then_one(j, b2)
+        layer["checked"] += 1
+        if not u_contains(frame2, anchor.second, j, beta):
+            return cert.reject({"layer": "consequent", "j": j,
+                                "reason": "beta witness not in U_j(beta0)",
+                                "beta": list(beta.stored)})
+        k_star = max(bounds.k_max, beta.st)
+        inner_checked = 0
+        for ap in first_u(k_star):
+            inner_checked += 1
+            layer["checked"] += 1
+            if val.contains(ProductPoint(ap, beta)):
+                return cert.reject({"layer": "consequent", "j": j, "k_star": k_star,
+                                    "reason": "p not falsified",
+                                    "witness": point_json(ProductPoint(ap, beta))})
+        layer["witnesses"].append({"j": j, "beta": list(beta.stored),
+                                   "k_star": k_star, "inner_checked": inner_checked})
+    return cert
 
 
 # --- bounded evaluator --------------------------------------------------------------

@@ -411,19 +411,22 @@ def generate_formulas(depth: int, atom_names: Sequence[str]) -> Iterator[Formula
             f"generate_formulas guard: depth <= {_MAX_GEN_DEPTH} and "
             f"at most {_MAX_GEN_ATOMS} atoms")
     max_nodes = depth + 5
-    leaves: list[Formula] = [BOT] + [Atom(a) for a in atom_names]
-    by_size: dict[int, list[Formula]] = {1: leaves}
+    # (formula, modal depth) pairs by node count; a box goes only over bodies
+    # shallower than depth, so only a negative depth leaves candidates too deep
+    leaves: list[tuple[Formula, int]] = [(BOT, 0)] + [(Atom(a), 0) for a in atom_names]
+    by_size: dict[int, list[tuple[Formula, int]]] = {1: leaves}
     for n in range(2, max_nodes + 1):
-        layer: list[Formula] = []
+        layer: list[tuple[Formula, int]] = []
         for i in MODALITIES:
-            layer.extend(Box(i, b) for b in by_size[n - 1])
+            layer.extend((Box(i, b), md + 1) for b, md in by_size[n - 1] if md < depth)
         for left_n in range(1, n - 1):
-            for left in by_size[left_n]:
-                layer.extend(Implies(left, right) for right in by_size[n - 1 - left_n])
+            for left, lmd in by_size[left_n]:
+                layer.extend((Implies(left, right), max(lmd, rmd))
+                             for right, rmd in by_size[n - 1 - left_n])
         by_size[n] = layer
     seen: set[Formula] = set()
     for n in range(1, max_nodes + 1):
-        for phi in by_size[n]:
-            if phi not in seen and modal_depth(phi) <= depth:
+        for phi, md in by_size[n]:
+            if md <= depth and phi not in seen:
                 seen.add(phi)
                 yield phi

@@ -10,12 +10,13 @@ which is what makes window checks on word length meaningful.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Collection, Iterable, Mapping, Sequence
+from typing import Any, Collection, Iterable, Mapping
 
 from .formula import OP_ATOM, OP_BOTTOM, OP_IMPLIES, Formula, compile_formula
-from .report import BudgetExceeded, Stopwatch, VerificationReport
+from .report import VerificationReport, check_window
 
 DEFAULT_WORD_BUDGET = 500_000
 
@@ -92,22 +93,20 @@ def word_rel(frame: SymbolicTreeFrame, u: Word, v: Word) -> bool:
 def enumerate_words(branching: int, depth: int, *, signed: bool = False,
                     budget: int = DEFAULT_WORD_BUDGET) -> list[Word]:
     """All words of length <= depth in shortlex order."""
-    alphabet = (tuple(range(-branching, 0)) if signed else ()) + \
-        tuple(range(1, branching + 1))
-    return [Word(t, branching, signed)
-            for t in _shortlex(alphabet, depth, budget, "words")]
+    letters = itertools.chain(range(-branching, 0) if signed else (),
+                              range(1, branching + 1))
+    what = f"{'signed ' if signed else ''}words of length <= {depth} " \
+        f"at branching {branching}"
+    return [Word(t, branching, signed) for t in _shortlex(
+        letters, 2 * branching if signed else branching, depth, budget, what)]
 
 
-def _shortlex(alphabet: Sequence[Any], depth: int, budget: int,
-              noun: str) -> list[tuple[Any, ...]]:
-    """All tuples over alphabet of length <= depth in shortlex order, after
-    checking their count against budget."""
-    total, width = 1, 1
-    for _ in range(depth):
-        width *= len(alphabet)
-        total += width
-    if total > budget:
-        raise BudgetExceeded(f"{total} {noun} exceeds budget {budget}")
+def _shortlex(letters: Iterable[Any], size: int, depth: int, budget: int,
+              what: str) -> list[tuple[Any, ...]]:
+    """All tuples of length <= depth over the size letters in shortlex order.
+    Their count is checked against budget before the letters are read."""
+    check_window(what, size, size, depth, budget)
+    alphabet = tuple(letters) if depth > 0 else ()
     out: list[tuple[Any, ...]] = [()]
     layer = [()]
     for _ in range(depth):
@@ -124,12 +123,10 @@ def check_fractal(frame: SymbolicTreeFrame, depth: int, *,
     detector self-test (mixing kinds must produce a violation), not a lemma.
     """
     left = frame.kind if lhs_kind is None else lhs_kind
-    report = VerificationReport(
-        lemma="fractal",
-        params={"kind": frame.kind.value, "branching": frame.branching,
-                "depth": depth, "lhs_kind": left.value},
-    )
-    with Stopwatch(report):
+    with VerificationReport(
+            lemma="fractal",
+            params={"kind": frame.kind.value, "branching": frame.branching,
+                    "depth": depth, "lhs_kind": left.value}) as report:
         words = enumerate_words(frame.branching, depth)
         for a in words:
             for c in words:
@@ -139,9 +136,8 @@ def check_fractal(frame: SymbolicTreeFrame, depth: int, *,
                 rhs = _rel_on_tuples(frame.kind, (), c.letters)
                 report.checked += 1
                 if lhs != rhs:
-                    report.fail({"a": list(a.letters), "c": list(c.letters),
-                                 "lhs": lhs, "rhs": rhs})
-                    return report
+                    return report.fail({"a": list(a.letters), "c": list(c.letters),
+                                        "lhs": lhs, "rhs": rhs})
     return report
 
 
@@ -175,9 +171,10 @@ def tagged_word(letters: Iterable[tuple[int, int]], b1: int, b2: int) -> TaggedW
 
 def enumerate_tagged_words(b1: int, b2: int, depth: int, *,
                            budget: int = DEFAULT_WORD_BUDGET) -> list[TaggedWord]:
-    alphabet = [(1, x) for x in range(1, b1 + 1)] + [(2, x) for x in range(1, b2 + 1)]
+    letters = ((side, x) for side, b in ((1, b1), (2, b2)) for x in range(1, b + 1))
+    what = f"tagged words of length <= {depth} at branchings {b1} and {b2}"
     return [TaggedWord(t, (b1, b2))
-            for t in _shortlex(alphabet, depth, budget, "tagged words")]
+            for t in _shortlex(letters, b1 + b2, depth, budget, what)]
 
 
 def fusion_word_rel(frame1: SymbolicTreeFrame, frame2: SymbolicTreeFrame,

@@ -20,7 +20,7 @@ from .formula import (OP_ATOM, OP_BOTTOM, OP_IMPLIES, Formula, atoms,
                       compile_formula, generate_formulas, modalities_of,
                       unparse)
 from .kripke import FiniteKripkeFrame, _expect, _modality, _worlds
-from .report import BudgetExceeded, Stopwatch, VerificationReport
+from .report import BudgetExceeded, VerificationReport
 
 VALUATION_GUARD_BITS = 16
 FOUR_GUARD_WORLDS = 12
@@ -72,39 +72,34 @@ def validate_frame(frame: FiniteNFrame) -> VerificationReport:
     """Carrier coverage, base sets inside the carrier, at least one base set
     per point and modality, and the filter-base property: every pairwise
     intersection of base sets dominates some base set."""
-    report = VerificationReport(lemma="frame-validity",
-                                params={"worlds": len(frame.worlds)})
-    with Stopwatch(report):
+    with VerificationReport(lemma="frame-validity",
+                            params={"worlds": len(frame.worlds)}) as report:
         wset = set(frame.worlds)
         for i in frame.modalities:
             per_world = frame.base[i]
             if set(per_world) != wset:
-                report.fail({"modality": i, "reason": "carrier mismatch",
-                             "missing": sorted(wset - set(per_world)),
-                             "extra": sorted(set(per_world) - wset)})
-                return report
+                return report.fail({"modality": i, "reason": "carrier mismatch",
+                                    "missing": sorted(wset - set(per_world)),
+                                    "extra": sorted(set(per_world) - wset)})
             for w in frame.worlds:
                 sets = per_world[w]
                 report.checked += 1
                 if not sets:
-                    report.fail({"modality": i, "world": w,
-                                 "reason": "no base sets"})
-                    return report
+                    return report.fail({"modality": i, "world": w,
+                                        "reason": "no base sets"})
                 for u in sets:
                     if not u <= wset:
-                        report.fail({"modality": i, "world": w,
-                                     "reason": "base set outside carrier",
-                                     "set": sorted(u)})
-                        return report
+                        return report.fail({"modality": i, "world": w,
+                                            "reason": "base set outside carrier",
+                                            "set": sorted(u)})
                 for u in sets:
                     for v in sets:
                         report.checked += 1
                         meet = u & v
                         if not any(z <= meet for z in sets):
-                            report.fail({"modality": i, "world": w,
-                                         "reason": "filter-base property fails",
-                                         "sets": [sorted(u), sorted(v)]})
-                            return report
+                            return report.fail({"modality": i, "world": w,
+                                                "reason": "filter-base property fails",
+                                                "sets": [sorted(u), sorted(v)]})
     return report
 
 
@@ -314,11 +309,10 @@ def check_bounded_morphism(f: Mapping[str, str], source: FiniteNFrame,
     Reduction soundness: images and neighborhoods are both monotone under
     supersets, so checking the generators settles the full filters.
     """
-    report = VerificationReport(
-        lemma="bounded-morphism",
-        params={"source_worlds": len(source.worlds),
-                "target_worlds": len(target.worlds)})
-    with Stopwatch(report):
+    with VerificationReport(
+            lemma="bounded-morphism",
+            params={"source_worlds": len(source.worlds),
+                    "target_worlds": len(target.worlds)}) as report:
         if source.modalities != target.modalities:
             raise ValueError("source and target modality sets differ")
         if set(f) != set(source.worlds):
@@ -326,9 +320,8 @@ def check_bounded_morphism(f: Mapping[str, str], source: FiniteNFrame,
         if not set(f.values()) <= set(target.worlds):
             raise ValueError("map range leaves the target carrier")
         if set(f.values()) != set(target.worlds):
-            report.fail({"condition": "surjectivity",
-                         "missed": sorted(set(target.worlds) - set(f.values()))})
-            return report
+            missed = sorted(set(target.worlds) - set(f.values()))
+            return report.fail({"condition": "surjectivity", "missed": missed})
         report.checked += 1
         for i in source.modalities:
             for x in source.worlds:
@@ -338,17 +331,16 @@ def check_bounded_morphism(f: Mapping[str, str], source: FiniteNFrame,
                     report.checked += 1
                     image = frozenset(f[y] for y in u)
                     if not any(v <= image for v in target_sets):
-                        report.fail({"condition": "image-is-neighborhood",
-                                     "modality": i, "x": x, "set": sorted(u),
-                                     "image": sorted(image)})
-                        return report
+                        return report.fail({"condition": "image-is-neighborhood",
+                                            "modality": i, "x": x, "set": sorted(u),
+                                            "image": sorted(image)})
                 for v in target_sets:
                     report.checked += 1
                     if not any(frozenset(f[y] for y in u) <= v
                                for u in source.base[i][x]):
-                        report.fail({"condition": "preimage-refinement",
-                                     "modality": i, "x": x, "target_set": sorted(v)})
-                        return report
+                        return report.fail({"condition": "preimage-refinement",
+                                            "modality": i, "x": x,
+                                            "target_set": sorted(v)})
     return report
 
 
@@ -359,11 +351,10 @@ def check_truth_preservation(f: Mapping[str, str], source: FiniteNFrame,
     morphism = check_bounded_morphism(f, source, target_model.frame)
     if not morphism.passed:
         raise ValueError(f"morphism check failed: {morphism.counterexample}")
-    report = VerificationReport(
-        lemma="truth-preservation",
-        params={"depth": depth, "source_worlds": len(source.worlds),
-                "target_worlds": len(target_model.frame.worlds)})
-    with Stopwatch(report):
+    with VerificationReport(
+            lemma="truth-preservation",
+            params={"depth": depth, "source_worlds": len(source.worlds),
+                    "target_worlds": len(target_model.frame.worlds)}) as report:
         names = sorted(target_model.valuation)
         pulled = {name: frozenset(x for x in source.worlds
                                   if f[x] in target_model.valuation[name])
@@ -378,8 +369,7 @@ def check_truth_preservation(f: Mapping[str, str], source: FiniteNFrame,
             for x in source.worlds:
                 report.checked += 1
                 if (x in den_source) != (f[x] in den_target):
-                    report.fail({"formula": unparse(phi), "x": x, "fx": f[x]})
-                    return report
+                    return report.fail({"formula": unparse(phi), "x": x, "fx": f[x]})
     return report
 
 

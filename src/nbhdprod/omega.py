@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 from .kripke import (FrameKind, SymbolicTreeFrame, TaggedWord, Word,
                      _fusion_rel_on_tuples, _rel_on_tuples,
                      enumerate_tagged_words, enumerate_words)
-from .report import BudgetExceeded, Stopwatch, VerificationReport
+from .report import VerificationReport, check_window
 
 DEFAULT_SEQ_BUDGET = 2_000_000
 
@@ -109,16 +109,14 @@ def _canon(entries: tuple[int, ...]) -> tuple[int, ...]:
 def _enumerate_stored(branching: int, d: int, signed: bool,
                       budget: int) -> list[tuple[int, ...]]:
     """Stored tuples of enumerate_pseudo, same order and budget check."""
-    alphabet = tuple(range(-branching, branching + 1)) if signed \
-        else tuple(range(branching + 1))
-    if len(alphabet) ** d > budget:
-        raise BudgetExceeded(f"{len(alphabet) ** d} sequences exceeds budget {budget}")
-    nonzero = tuple(x for x in alphabet if x != 0)
+    alphabet = range(-branching, branching + 1) if signed else range(branching + 1)
+    what = f"{'signed ' if signed else ''}sequences with support <= {d} " \
+        f"at branching {branching}"
+    check_window(what, len(alphabet) - 1, len(alphabet), d, budget)
     out: list[tuple[int, ...]] = [()]
     for length in range(1, d + 1):
         for head in itertools.product(alphabet, repeat=length - 1):
-            for last in nonzero:
-                out.append(head + (last,))
+            out.extend(head + (last,) for last in alphabet if last)
     return out
 
 
@@ -214,11 +212,10 @@ def check_chain(frame: SymbolicTreeFrame, d: int, k_max: int, *,
     reverse_inclusion checks U_m subset-of U_k instead; that direction is
     false and serves as a detector self-test.
     """
-    report = VerificationReport(
-        lemma="chain",
-        params={"kind": frame.kind.value, "branching": frame.branching, "d": d,
-                "k_max": k_max, "reverse_inclusion": reverse_inclusion})
-    with Stopwatch(report):
+    with VerificationReport(
+            lemma="chain",
+            params={"kind": frame.kind.value, "branching": frame.branching, "d": d,
+                    "k_max": k_max, "reverse_inclusion": reverse_inclusion}) as report:
         window = _enumerate_stored(frame.branching, d, False, DEFAULT_SEQ_BUDGET)
         table = MembershipTable(frame.kind, window)
         for a_stored in window:
@@ -231,13 +228,16 @@ def check_chain(frame: SymbolicTreeFrame, d: int, k_max: int, *,
                     stray = small & ~large
                     if stray:
                         bi = stray.bit_length() - 1
-                        report.fail({"alpha": list(a_stored), "m": m, "k": k,
-                                     "beta": list(window[bi])})
-                        return report
+                        return report.fail({"alpha": list(a_stored), "m": m, "k": k,
+                                            "beta": list(window[bi])})
     return report
 
 
 # --- bounded morphism onto the tree frame ----------------------------------------
+
+# the obligations of both morphism checks, counted per layer in params["layers"]
+_MORPHISM_LAYERS = ("surjectivity", "forward", "covering")
+
 
 def verify_ff_morphism(frame: SymbolicTreeFrame, d: int) -> VerificationReport:
     """The zero-forgetting map is a surjective bounded morphism, verified on
@@ -249,18 +249,15 @@ def verify_ff_morphism(frame: SymbolicTreeFrame, d: int) -> VerificationReport:
                   U_k(alpha) by prefix(alpha, max(k, st(alpha))) + suffix,
                   where suffix extends f(alpha) to w.
     """
-    report = VerificationReport(
-        lemma="ff-morphism",
-        params={"kind": frame.kind.value, "branching": frame.branching, "d": d})
-    with Stopwatch(report):
+    with VerificationReport(
+            lemma="ff-morphism",
+            params={"kind": frame.kind.value, "branching": frame.branching, "d": d,
+                    "layers": dict.fromkeys(_MORPHISM_LAYERS, 0)}) as report:
         words = enumerate_words(frame.branching, d, budget=DEFAULT_SEQ_BUDGET)
-        surjectivity = forward = covering = 0
         for w in words:
-            surjectivity += 1
+            report.count("surjectivity")
             if forget_zeros(lift(w)) != w:
-                report.checked = surjectivity + forward + covering
-                report.fail({"layer": "surjectivity", "word": list(w.letters)})
-                return report
+                return report.fail({"layer": "surjectivity", "word": list(w.letters)})
         kind = frame.kind
         window = _enumerate_stored(frame.branching, d, False, DEFAULT_SEQ_BUDGET)
         table = MembershipTable(kind, window)
@@ -274,29 +271,22 @@ def verify_ff_morphism(frame: SymbolicTreeFrame, d: int) -> VerificationReport:
                 successors[a_fw] = targets
             for k in range(d + 1):
                 for bi in table.members(a_stored, k):
-                    forward += 1
+                    report.count("forward")
                     if not _rel_on_tuples(kind, a_fw, table.words[bi]):
-                        report.checked = surjectivity + forward + covering
-                        report.fail({"layer": "forward",
-                                     "alpha": list(a_stored), "k": k,
-                                     "beta": list(window[bi])})
-                        return report
+                        return report.fail({"layer": "forward",
+                                            "alpha": list(a_stored), "k": k,
+                                            "beta": list(window[bi])})
                 head = _prefix_tuple(a_stored, max(k, len(a_stored) + 1))
                 for target in targets:
-                    covering += 1
+                    report.count("covering")
                     beta = _canon(head + target[len(a_fw):])
                     beta_fw = _fw(beta)
                     if not (_u_fast(kind, a_stored, a_fw, beta, beta_fw, k)
                             and beta_fw == target):
-                        report.checked = surjectivity + forward + covering
-                        report.fail({"layer": "covering",
-                                     "alpha": list(a_stored), "k": k,
-                                     "target": list(target),
-                                     "witness": list(beta)})
-                        return report
-        report.checked = surjectivity + forward + covering
-        report.params["layers"] = {"surjectivity": surjectivity,
-                                   "forward": forward, "covering": covering}
+                        return report.fail({"layer": "covering",
+                                            "alpha": list(a_stored), "k": k,
+                                            "target": list(target),
+                                            "witness": list(beta)})
     return report
 
 
@@ -327,11 +317,10 @@ def axiom_evidence(frame: SymbolicTreeFrame, d: int,
             raise ValueError(f"evidence {evidence!r} inapplicable to kind "
                              f"{frame.kind.value}")
         kinds = [evidence]
-    report = VerificationReport(
-        lemma="axiom-evidence",
-        params={"kind": frame.kind.value, "branching": frame.branching, "d": d,
-                "evidence": kinds})
-    with Stopwatch(report):
+    with VerificationReport(
+            lemma="axiom-evidence",
+            params={"kind": frame.kind.value, "branching": frame.branching, "d": d,
+                    "evidence": kinds}) as report:
         window = _enumerate_stored(frame.branching, d, False, DEFAULT_SEQ_BUDGET)
         table = MembershipTable(frame.kind, window)
         if "d" in kinds:
@@ -341,16 +330,15 @@ def axiom_evidence(frame: SymbolicTreeFrame, d: int,
                     m = max(k, len(a_stored) + 1)
                     wit = _prefix_tuple(a_stored, m) + (1,)
                     if not _u_fast(frame.kind, a_stored, a_fw, wit, _fw(wit), k):
-                        report.fail({"evidence": "d", "alpha": list(a_stored),
-                                     "k": k, "witness": list(wit)})
-                        return report
+                        return report.fail({"evidence": "d", "alpha": list(a_stored),
+                                            "k": k, "witness": list(wit)})
         if "t" in kinds:
             for a_stored, a_fw in zip(window, table.words):
                 for k in range(d + 1):
                     report.checked += 1
                     if not _u_fast(frame.kind, a_stored, a_fw, a_stored, a_fw, k):
-                        report.fail({"evidence": "t", "alpha": list(a_stored), "k": k})
-                        return report
+                        return report.fail({"evidence": "t", "alpha": list(a_stored),
+                                            "k": k})
         if "four" in kinds:
             for a_stored in window:
                 for m in range(d + 1):
@@ -364,11 +352,10 @@ def axiom_evidence(frame: SymbolicTreeFrame, d: int,
                             & ~members
                         if stray:
                             bi = stray.bit_length() - 1
-                            report.fail({"evidence": "four",
-                                         "alpha": list(a_stored), "m": m,
-                                         "y": list(y_stored),
-                                         "z": list(window[bi])})
-                            return report
+                            return report.fail({"evidence": "four",
+                                                "alpha": list(a_stored), "m": m,
+                                                "y": list(y_stored),
+                                                "z": list(window[bi])})
     return report
 
 
@@ -442,21 +429,17 @@ def verify_g_morphism(frame1: SymbolicTreeFrame, frame2: SymbolicTreeFrame,
     The base-set index m ranges over max(st(first), st(second)) + 1 .. d; the
     interleave only splits cleanly past the stabilization of both coordinates.
     """
-    report = VerificationReport(
-        lemma="g-morphism",
-        params={"kind1": frame1.kind.value, "kind2": frame2.kind.value,
-                "branching1": frame1.branching, "branching2": frame2.branching,
-                "d": d})
-    with Stopwatch(report):
-        b1, b2 = frame1.branching, frame2.branching
-        surjectivity = forward = covering = 0
+    b1, b2 = frame1.branching, frame2.branching
+    with VerificationReport(
+            lemma="g-morphism",
+            params={"kind1": frame1.kind.value, "kind2": frame2.kind.value,
+                    "branching1": b1, "branching2": b2, "d": d,
+                    "layers": dict.fromkeys(_MORPHISM_LAYERS, 0)}) as report:
         for z in enumerate_tagged_words(b1, b2, d, budget=DEFAULT_SEQ_BUDGET):
-            surjectivity += 1
+            report.count("surjectivity")
             if g_map(g_preimage(z)) != z:
-                report.checked = surjectivity
-                report.fail({"layer": "surjectivity",
-                             "tagged": [list(t) for t in z.letters]})
-                return report
+                return report.fail({"layer": "surjectivity",
+                                    "tagged": [list(t) for t in z.letters]})
         kinds = {1: frame1.kind, 2: frame2.kind}
         tables = {1: MembershipTable(frame1.kind, _enumerate_stored(
                       b1, d, False, DEFAULT_SEQ_BUDGET)),
@@ -512,30 +495,23 @@ def verify_g_morphism(frame1: SymbolicTreeFrame, frame2: SymbolicTreeFrame,
                         for bi in table.members(anchor, m):
                             member = table.window[bi]
                             q = (member, beta) if i == 1 else (alpha, member)
-                            forward += 1
+                            report.count("forward")
                             if not _fusion_rel_on_tuples(kind, i, image, g_of(*q)):
-                                report.checked = surjectivity + forward + covering
-                                report.fail({
+                                return report.fail({
                                     "layer": "forward", "modality": i, "m": m,
                                     "point": point(alpha, beta),
                                     "member": point(*q)})
-                                return report
                         for c, tagged, moved, inside in witnesses(i, anchor, m):
-                            covering += 1
+                            report.count("covering")
                             # the witness moves coordinate i only; the other
                             # coordinate stays pinned at the base point's
                             q = (moved, beta) if i == 1 else (alpha, moved)
                             if not (inside and _interleave(*q) == image + tagged):
-                                report.checked = surjectivity + forward + covering
-                                report.fail({
+                                return report.fail({
                                     "layer": "covering", "modality": i, "m": m,
                                     "point": point(alpha, beta),
                                     "step": list(c),
                                     "witness": point(*q)})
-                                return report
-        report.checked = surjectivity + forward + covering
-        report.params["layers"] = {"surjectivity": surjectivity,
-                                   "forward": forward, "covering": covering}
     return report
 
 
@@ -632,12 +608,11 @@ def lex_window_compare(frame: SymbolicTreeFrame, alpha: PseudoSeq, k: int, d: in
         raise ValueError("alpha must be signed with the frame's branching")
     if k_max is None:
         k_max = d + 1
-    report = VerificationReport(
-        lemma="lex-window",
-        params={"kind": frame.kind.value, "branching": frame.branching,
-                "alpha": list(alpha.stored), "k": k, "d": d, "k_max": k_max,
-                "anchor_left_closed": anchor_left_closed})
-    with Stopwatch(report):
+    with VerificationReport(
+            lemma="lex-window",
+            params={"kind": frame.kind.value, "branching": frame.branching,
+                    "alpha": list(alpha.stored), "k": k, "d": d, "k_max": k_max,
+                    "anchor_left_closed": anchor_left_closed}) as report:
         window = _enumerate_stored(frame.branching, d, True, DEFAULT_SEQ_BUDGET)
         table = MembershipTable(frame.kind, window)
         # lex order of the window: rank[i] is the position of window[i]
@@ -654,18 +629,16 @@ def lex_window_compare(frame: SymbolicTreeFrame, alpha: PseudoSeq, k: int, d: in
         if punctured:
             report.checked += 1
             if _u_fast(frame.kind, a_stored, a_fw, a_stored, a_fw, k):
-                report.fail({"layer": "interval-inside",
-                             "reason": "alpha not excluded", "k": k})
-                return report
+                return report.fail({"layer": "interval-inside",
+                                    "reason": "alpha not excluded", "k": k})
         start = _count_below(keys, p + (-1,), width, inclusive=True)
         stop = _count_below(keys, p + (1,), width)
         members = table.mask(a_stored, k)
         for gi in sorted(order[start:stop]):
             report.checked += 1
             if not (members >> gi & 1 or (punctured and window[gi] == a_stored)):
-                report.fail({"layer": "interval-inside", "k": k,
-                             "gamma": list(window[gi])})
-                return report
+                return report.fail({"layer": "interval-inside", "k": k,
+                                    "gamma": list(window[gi])})
         # lowest and highest rank of each U_k'(alpha) up to the first empty
         # one, which discharges every interval that reaches it
         live: list[tuple[int, int]] = []
@@ -697,10 +670,9 @@ def lex_window_compare(frame: SymbolicTreeFrame, alpha: PseudoSeq, k: int, d: in
             if open_pairs and not has_empty:
                 ri = next(j for j, r in enumerate(above) if rank[r] <= reach)
                 report.checked += ri + 1
-                report.fail({"layer": "neighborhood-inside",
-                             "l": list(l_stored), "r": list(window[above[ri]]),
-                             "left_closed": anchor_left_closed})
-                return report
+                return report.fail({"layer": "neighborhood-inside",
+                                    "l": list(l_stored), "r": list(window[above[ri]]),
+                                    "left_closed": anchor_left_closed})
             report.checked += len(above)
             vacuous += open_pairs
         report.params["vacuous_intervals"] = vacuous

@@ -19,7 +19,7 @@ from .kripke import FiniteKripkeFrame
 from .kripke import denotation as kripke_denotation
 from .nbhd import (FiniteNFrame, FiniteNModel, denotation, nof, product_n,
                    valid_on_frame)
-from .report import Stopwatch, VerificationReport
+from .report import VerificationReport
 
 
 def random_kripke_frame(rng: Random, max_worlds: int = 4,
@@ -120,11 +120,10 @@ def nf_agreement_sweep(seed: int, n_frames: int = 100, max_worlds: int = 4,
                        atom_names: Sequence[str] = ("p",)) -> VerificationReport:
     """Relational truth equals neighborhood truth over the successor-set
     frame, pointwise, for every generated formula."""
-    report = VerificationReport(
-        lemma="nf-agreement",
-        params={"seed": seed, "frames": n_frames, "max_worlds": max_worlds,
-                "depth": depth, "atoms": list(atom_names)})
-    with Stopwatch(report):
+    with VerificationReport(
+            lemma="nf-agreement",
+            params={"seed": seed, "frames": n_frames, "max_worlds": max_worlds,
+                    "depth": depth, "atoms": list(atom_names)}) as report:
         rng = Random(seed)
         formulas = list(generate_formulas(depth, atom_names))
         for _ in range(n_frames):
@@ -134,10 +133,10 @@ def nf_agreement_sweep(seed: int, n_frames: int = 100, max_worlds: int = 4,
             for phi in formulas:
                 report.checked += 1
                 if kripke_denotation(frame, val, phi) != denotation(model, phi):
-                    report.fail({"frame": frame.to_dict(),
-                                 "valuation": {a: sorted(ws) for a, ws in val.items()},
-                                 "formula": unparse(phi)})
-                    return report
+                    return report.fail({"frame": frame.to_dict(),
+                                        "valuation": {a: sorted(ws)
+                                                      for a, ws in val.items()},
+                                        "formula": unparse(phi)})
     return report
 
 
@@ -145,10 +144,10 @@ def fusion_soundness_sweep(seed: int, n_pairs: int = 100,
                            max_worlds: int = 3) -> VerificationReport:
     """Products of frames validating two of D, T, D4, S4 validate every
     fusion axiom; the logic pair cycles through all sixteen combinations."""
-    report = VerificationReport(
-        lemma="fusion-axioms",
-        params={"seed": seed, "pairs": n_pairs, "max_worlds": max_worlds})
-    with Stopwatch(report):
+    with VerificationReport(
+            lemma="fusion-axioms",
+            params={"seed": seed, "pairs": n_pairs,
+                    "max_worlds": max_worlds}) as report:
         rng = Random(seed)
         combos = list(itertools.product(LOGICS, LOGICS))
         for n in range(n_pairs):
@@ -160,22 +159,20 @@ def fusion_soundness_sweep(seed: int, n_pairs: int = 100,
                 report.checked += 1
                 witness = valid_on_frame(product, phi)
                 if witness is not None:
-                    report.fail({"logics": [logic1, logic2],
-                                 "formula": unparse(phi),
-                                 "frame1": frame1.to_dict(),
-                                 "frame2": frame2.to_dict(),
-                                 "counterexample": witness.to_dict()})
-                    return report
+                    return report.fail({"logics": [logic1, logic2],
+                                        "formula": unparse(phi),
+                                        "frame1": frame1.to_dict(),
+                                        "frame2": frame2.to_dict(),
+                                        "counterexample": witness.to_dict()})
     return report
 
 
 def finite_com_sweep(seed: int, n_pairs: int = 100) -> VerificationReport:
     """The commutation scheme holds on every product of finite frames (the
     filters are principal); its failure needs the infinite construction."""
-    report = VerificationReport(
-        lemma="finite-com",
-        params={"seed": seed, "pairs": n_pairs})
-    with Stopwatch(report):
+    with VerificationReport(
+            lemma="finite-com",
+            params={"seed": seed, "pairs": n_pairs}) as report:
         rng = Random(seed)
         com = axiom_instance(AxiomScheme.COM)
         for _ in range(n_pairs):
@@ -185,8 +182,7 @@ def finite_com_sweep(seed: int, n_pairs: int = 100) -> VerificationReport:
             report.checked += 1
             witness = valid_on_frame(product, com)
             if witness is not None:
-                report.fail({"frame1": frame1.to_dict(),
-                             "frame2": frame2.to_dict(),
-                             "counterexample": witness.to_dict()})
-                return report
+                return report.fail({"frame1": frame1.to_dict(),
+                                    "frame2": frame2.to_dict(),
+                                    "counterexample": witness.to_dict()})
     return report

@@ -8,6 +8,8 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -207,11 +209,49 @@ def test_verify_determinism(capsys):
     assert first == second
 
 
+# Windows past their budget, including ones whose size has thousands of
+# digits and alphabets of millions of letters: each is refused at once.
+BUDGET_OVERRUNS = [
+    ("verify", "--lemma", "chain", "--branching", "3", "--depth", "14"),
+    ("verify", "--lemma", "chain", "--depth", "10000"),
+    ("verify", "--lemma", "chain", "--depth", "9000"),
+    ("verify", "--lemma", "fractal", "--depth", "10000"),
+    ("verify", "--lemma", "ff-morphism", "--depth", "10000"),
+    ("verify", "--lemma", "g-morphism", "--depth", "10000"),
+    ("verify", "--lemma", "g-morphism", "--depth", "200000"),
+    ("verify", "--lemma", "lex", "--depth", "10000"),
+    ("verify", "--lemma", "chain", "--branching", "2000000", "--depth", "1"),
+    ("tree", "--depth", "10000"),
+    ("tree", "--branching", "3000000", "--depth", "1"),
+    ("countermodel", "--axiom", "com", "--kind1", "in", "--kind2", "in",
+     "--bounds", "8,8,10000"),
+]
+
+
 def test_verify_budget_marker(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--lemma", "chain",
-                           "--branching", "3", "--depth", "14")
-    assert code == 1
-    assert "budget" in json.loads(out)
+    for argv in BUDGET_OVERRUNS:
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert (code, err) == (1, ""), argv
+        message = json.loads(out)["budget"]
+        assert "exceeds budget" in message and len(message) < 200, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--lemma", "chain", "--branching", "3000000", "--depth", "1"),
+    ("tree", "--branching", "3000000", "--depth", "1"),
+    ("tree", "--branching", "3000000", "--depth", "0"),
+])
+def test_budget_check_comes_before_the_alphabet(capsys, argv):
+    tracemalloc.start()
+    try:
+        main(list(argv))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 10 * 2 ** 20
 
 
 @pytest.mark.parametrize("argv", [
