@@ -164,10 +164,25 @@ def _cases() -> dict[str, Callable[[], str]]:
     for k1, k2 in (("rt", "in"), ("it", "rn")):
         cases[f"g-morphism-{k1}b1-{k2}b2-d4"] = _report(
             lambda f1=_frame(k1, 1), f2=_frame(k2, 2): verify_g_morphism(f1, f2, 4))
-    for kind in KINDS:
-        cases[f"verify-fractal-{kind}-b2-d8"] = _cli(
-            "verify", "--lemma", "fractal", "--kind", kind, "--branching", "2",
-            "--depth", "8")
+    # fractal windows over branchings and depths, the deeper mixed-kind
+    # controls, and tree exports: the successor order of a tree window fixes
+    # the first counterexample of these checks and ff-morphism's targets
+    for kind, (branching, depth) in itertools.product(
+            KINDS, ((2, 8), (1, 8), (3, 8), (2, 10))):
+        cases[f"verify-fractal-{kind}-b{branching}-d{depth}"] = _cli(
+            "verify", "--lemma", "fractal", "--kind", kind, "--branching",
+            str(branching), "--depth", str(depth))
+    cases["verify-fractal-rt-b2-d12"] = _cli(
+        "verify", "--lemma", "fractal", "--kind", "rt", "--branching", "2",
+        "--depth", "12")
+    for kind, other in zip(KINDS, KINDS[1:] + KINDS[:1]):
+        cases[f"control-fractal-mixed-{kind}-{other}-d10"] = _report(
+            lambda f=_frame(kind), o=FrameKind(other): check_fractal(f, 10, lhs_kind=o))
+    for kind, (branching, depth), nof in itertools.product(
+            KINDS, ((1, 6), (2, 6), (2, 8)), (False, True)):
+        cases[f"tree-{kind}-b{branching}-d{depth}{'-nof' if nof else ''}"] = _cli(
+            "tree", "--kind", kind, "--branching", str(branching), "--depth",
+            str(depth), *(("--nof",) if nof else ()))
     # countermodel certificates: every kind pair at b=2, the diagonal at
     # b=1 with wider bounds, and the rejected controls whose failing layer
     # logs how many window points it checked
