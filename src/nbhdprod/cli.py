@@ -19,8 +19,8 @@ from typing import Any, Callable, Mapping, Sequence
 
 from .countermodel import (Bounds, check_chr_certificate, check_com_certificate)
 from .formula import ParseError, atoms, modal_depth, parse, unparse
-from .kripke import (FiniteKripkeFrame, FrameKind, SymbolicTreeFrame, Word,
-                     check_fractal, enumerate_words, word_rel)
+from .kripke import (FiniteKripkeFrame, FrameKind, SymbolicTreeFrame,
+                     check_fractal, tree_successors, word_layers)
 from .nbhd import (FiniteNFrame, FiniteNModel, denotation, nof, product_n,
                    satisfies, structural_characteristics, valid_on_frame)
 from .omega import (axiom_evidence, check_chain, lex_window_compare, pseudo,
@@ -59,8 +59,8 @@ def _parse_bounds(text: str) -> Bounds:
     return Bounds(m, k, d)
 
 
-def _word_id(w: Word) -> str:
-    return "e" if not w.letters else ".".join(str(x) for x in w.letters)
+def _word_id(letters: tuple[int, ...]) -> str:
+    return ".".join(map(str, letters)) or "e"
 
 
 def _cmd_parse(args: argparse.Namespace) -> int:
@@ -119,11 +119,11 @@ def _cmd_tree(args: argparse.Namespace) -> int:
     if args.depth < 0:
         raise ValueError(f"--depth must be >= 0, got {args.depth}")
     frame = SymbolicTreeFrame(FrameKind(args.kind), args.branching)
-    words = enumerate_words(args.branching, args.depth)
-    worlds = tuple(_word_id(w) for w in words)
-    pairs = frozenset((_word_id(u), _word_id(v))
-                      for u in words for v in words if word_rel(frame, u, v))
-    window = FiniteKripkeFrame(worlds, {1: pairs})
+    layers = word_layers(args.branching, args.depth)
+    ids = {u: _word_id(u) for layer in layers for u in layer}
+    pairs = frozenset((ids[u], ids[v]) for u in ids
+                      for v in tree_successors(frame.kind, u, layers))
+    window = FiniteKripkeFrame(tuple(ids.values()), {1: pairs})
     _emit(nof(window).to_dict() if args.nof else window.to_dict(), args)
     return 0
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Collection, Iterable, Mapping
+from typing import Any, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .formula import OP_ATOM, OP_BOTTOM, OP_IMPLIES, Formula, compile_formula
 from .report import VerificationReport, check_window
@@ -93,26 +93,50 @@ def word_rel(frame: SymbolicTreeFrame, u: Word, v: Word) -> bool:
 def enumerate_words(branching: int, depth: int, *, signed: bool = False,
                     budget: int = DEFAULT_WORD_BUDGET) -> list[Word]:
     """All words of length <= depth in shortlex order."""
+    return [Word(t, branching, signed) for layer in word_layers(
+        branching, depth, signed=signed, budget=budget) for t in layer]
+
+
+def word_layers(branching: int, depth: int, *, signed: bool = False,
+                budget: int = DEFAULT_WORD_BUDGET) -> list[list[tuple[int, ...]]]:
+    """The letter tuples of enumerate_words, one list per length: layers[n]
+    holds the words of length n in lexicographic order."""
     letters = itertools.chain(range(-branching, 0) if signed else (),
                               range(1, branching + 1))
     what = f"{'signed ' if signed else ''}words of length <= {depth} " \
         f"at branching {branching}"
-    return [Word(t, branching, signed) for t in _shortlex(
-        letters, 2 * branching if signed else branching, depth, budget, what)]
+    return _shortlex(letters, 2 * branching if signed else branching, depth,
+                     budget, what)
 
 
 def _shortlex(letters: Iterable[Any], size: int, depth: int, budget: int,
-              what: str) -> list[tuple[Any, ...]]:
-    """All tuples of length <= depth over the size letters in shortlex order.
-    Their count is checked against budget before the letters are read."""
+              what: str) -> list[list[tuple[Any, ...]]]:
+    """All tuples of length <= depth over the size letters, one lexicographic
+    list per length. Their count is checked against budget before the
+    letters are read."""
     check_window(what, size, size, depth, budget)
     alphabet = tuple(letters) if depth > 0 else ()
-    out: list[tuple[Any, ...]] = [()]
-    layer = [()]
+    layers: list[list[tuple[Any, ...]]] = [[()]]
     for _ in range(depth):
-        layer = [prev + (x,) for prev in layer for x in alphabet]
-        out += layer
-    return out
+        layers.append([prev + (x,) for prev in layers[-1] for x in alphabet])
+    return layers
+
+
+def tree_successors(kind: FrameKind, u: tuple[int, ...],
+                    layers: Sequence[Sequence[tuple[int, ...]]]
+                    ) -> Iterator[tuple[int, ...]]:
+    """The v with u R v among the words of layers (as word_layers gives
+    them), in shortlex order, built by extension: u itself for the reflexive
+    kinds, then its children, then every deeper descendant for the
+    transitive kinds."""
+    room = len(layers) - 1 - len(u)
+    if room < 0:
+        return
+    if kind in (FrameKind.RN, FrameKind.RT):
+        yield u
+    for n in range(1, (room if kind.transitive else min(room, 1)) + 1):
+        for tail in layers[n]:
+            yield u + tail
 
 
 def check_fractal(frame: SymbolicTreeFrame, depth: int, *,
@@ -127,16 +151,16 @@ def check_fractal(frame: SymbolicTreeFrame, depth: int, *,
             lemma="fractal",
             params={"kind": frame.kind.value, "branching": frame.branching,
                     "depth": depth, "lhs_kind": left.value}) as report:
-        words = enumerate_words(frame.branching, depth)
-        for a in words:
-            for c in words:
-                if len(a) + len(c) > depth:
-                    continue
-                lhs = _rel_on_tuples(left, a.letters, a.letters + c.letters)
-                rhs = _rel_on_tuples(frame.kind, (), c.letters)
+        layers = word_layers(frame.branching, depth)
+        # the c with len(a) + len(c) <= depth are the first layers of the
+        # shortlex window, so the checks come in all-pairs order
+        for a in itertools.chain.from_iterable(layers):
+            for c in itertools.chain.from_iterable(layers[:depth - len(a) + 1]):
+                lhs = _rel_on_tuples(left, a, a + c)
+                rhs = _rel_on_tuples(frame.kind, (), c)
                 report.checked += 1
                 if lhs != rhs:
-                    return report.fail({"a": list(a.letters), "c": list(c.letters),
+                    return report.fail({"a": list(a), "c": list(c),
                                         "lhs": lhs, "rhs": rhs})
     return report
 
@@ -174,7 +198,8 @@ def enumerate_tagged_words(b1: int, b2: int, depth: int, *,
     letters = ((side, x) for side, b in ((1, b1), (2, b2)) for x in range(1, b + 1))
     what = f"tagged words of length <= {depth} at branchings {b1} and {b2}"
     return [TaggedWord(t, (b1, b2))
-            for t in _shortlex(letters, b1 + b2, depth, budget, what)]
+            for layer in _shortlex(letters, b1 + b2, depth, budget, what)
+            for t in layer]
 
 
 def fusion_word_rel(frame1: SymbolicTreeFrame, frame2: SymbolicTreeFrame,
@@ -246,8 +271,12 @@ class FiniteKripkeFrame:
     def modalities(self) -> tuple[int, ...]:
         return tuple(sorted(self.rel))
 
-    def successors(self, i: int, w: str) -> frozenset[str]:
-        return frozenset(b for a, b in self.rel.get(i, frozenset()) if a == w)
+    def successor_sets(self, i: int) -> dict[str, frozenset[str]]:
+        """The successors of every world under relation i, in one pass."""
+        succ: dict[str, set[str]] = {w: set() for w in self.worlds}
+        for a, b in self.rel.get(i, ()):
+            succ[a].add(b)
+        return {w: frozenset(s) for w, s in succ.items()}
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -282,7 +311,7 @@ def frame_props(frame: FiniteKripkeFrame) -> dict[int, FrameProps]:
     """Seriality, reflexivity, transitivity of each relation, by full scan."""
     out: dict[int, FrameProps] = {}
     for i in frame.modalities:
-        succ = {w: frame.successors(i, w) for w in frame.worlds}
+        succ = frame.successor_sets(i)
         serial = all(succ[w] for w in frame.worlds)
         reflexive = all(w in succ[w] for w in frame.worlds)
         transitive = all(succ[v] <= succ[w] for w in frame.worlds for v in succ[w])

@@ -106,7 +106,7 @@ def validate_frame(frame: FiniteNFrame) -> VerificationReport:
 def nof(frame: FiniteKripkeFrame) -> FiniteNFrame:
     """Neighborhood frame of a Kripke frame: one base set per point, the
     successor set. Truth values agree with the relational semantics pointwise."""
-    base = {i: {w: (frame.successors(i, w),) for w in frame.worlds}
+    base = {i: {w: (succ,) for w, succ in frame.successor_sets(i).items()}
             for i in frame.modalities}
     return FiniteNFrame(frame.worlds, base)
 

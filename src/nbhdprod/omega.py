@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 from .kripke import (FrameKind, SymbolicTreeFrame, TaggedWord, Word,
                      _fusion_rel_on_tuples, _rel_on_tuples,
-                     enumerate_tagged_words, enumerate_words)
+                     enumerate_tagged_words, tree_successors, word_layers)
 from .report import VerificationReport, check_window
 
 DEFAULT_SEQ_BUDGET = 2_000_000
@@ -253,8 +253,9 @@ def verify_ff_morphism(frame: SymbolicTreeFrame, d: int) -> VerificationReport:
             lemma="ff-morphism",
             params={"kind": frame.kind.value, "branching": frame.branching, "d": d,
                     "layers": dict.fromkeys(_MORPHISM_LAYERS, 0)}) as report:
-        words = enumerate_words(frame.branching, d, budget=DEFAULT_SEQ_BUDGET)
-        for w in words:
+        layers = word_layers(frame.branching, d, budget=DEFAULT_SEQ_BUDGET)
+        for letters in itertools.chain.from_iterable(layers):
+            w = Word(letters, frame.branching)
             report.count("surjectivity")
             if forget_zeros(lift(w)) != w:
                 return report.fail({"layer": "surjectivity", "word": list(w.letters)})
@@ -266,8 +267,7 @@ def verify_ff_morphism(frame: SymbolicTreeFrame, d: int) -> VerificationReport:
         for a_stored, a_fw in zip(window, table.words):
             targets = successors.get(a_fw)
             if targets is None:
-                targets = [w.letters for w in words
-                           if _rel_on_tuples(kind, a_fw, w.letters)]
+                targets = list(tree_successors(kind, a_fw, layers))
                 successors[a_fw] = targets
             for k in range(d + 1):
                 for bi in table.members(a_stored, k):
@@ -447,9 +447,8 @@ def verify_g_morphism(frame1: SymbolicTreeFrame, frame2: SymbolicTreeFrame,
                       b2, d, False, DEFAULT_SEQ_BUDGET))}
         # successor words () R c per side, inside the window
         side_steps = {
-            i: [(w.letters, tuple((i, x) for x in w.letters))
-                for w in enumerate_words(branching, d, budget=DEFAULT_SEQ_BUDGET)
-                if _rel_on_tuples(kinds[i], (), w.letters)]
+            i: [(c, tuple((i, x) for x in c)) for c in tree_successors(
+                kinds[i], (), word_layers(branching, d, budget=DEFAULT_SEQ_BUDGET))]
             for i, branching in ((1, b1), (2, b2))}
         g_cache: dict[tuple[tuple[int, ...], tuple[int, ...]],
                       tuple[tuple[int, int], ...]] = {}

@@ -1,16 +1,19 @@
 """Tree frames on words, the fused frame, and finite Kripke model checking."""
 
 import itertools
+from random import Random
 
 import pytest
 
 from nbhdprod.formula import Atom, Bottom, Box, Implies, generate_formulas, parse
 from nbhdprod.kripke import (FiniteKripkeFrame, FrameKind, FrameProps,
-                             SymbolicTreeFrame, Word, check_fractal,
-                             enumerate_tagged_words, enumerate_words,
-                             frame_props, fusion_word_rel, satisfies,
-                             tagged_word, word, word_rel)
-from nbhdprod.report import BudgetExceeded
+                             SymbolicTreeFrame, Word, _rel_on_tuples,
+                             check_fractal, enumerate_tagged_words,
+                             enumerate_words, frame_props, fusion_word_rel,
+                             satisfies, tagged_word, tree_successors, word,
+                             word_layers, word_rel)
+from nbhdprod.report import BudgetExceeded, VerificationReport
+from nbhdprod.sampling import random_kripke_frame
 
 IN2 = SymbolicTreeFrame(FrameKind.IN, 2)
 RN2 = SymbolicTreeFrame(FrameKind.RN, 2)
@@ -113,6 +116,62 @@ def test_fractal_negative_control():
     assert lhs != rhs
 
 
+def _fractal_all_pairs(frame, depth, lhs_kind=None):
+    """Reference: the all-pairs loop check_fractal replaced, visiting every
+    (a, c) pair of the window and skipping the ones longer than depth."""
+    left = frame.kind if lhs_kind is None else lhs_kind
+    report = VerificationReport(
+        lemma="fractal", params={"kind": frame.kind.value, "branching": frame.branching,
+                                 "depth": depth, "lhs_kind": left.value})
+    words = [w.letters for w in enumerate_words(frame.branching, depth)]
+    for a in words:
+        for c in words:
+            if len(a) + len(c) > depth:
+                continue
+            lhs = _rel_on_tuples(left, a, a + c)
+            rhs = _rel_on_tuples(frame.kind, (), c)
+            report.checked += 1
+            if lhs != rhs:
+                return report.fail({"a": list(a), "c": list(c), "lhs": lhs, "rhs": rhs})
+    return report
+
+
+@pytest.mark.parametrize("kind", list(FrameKind))
+@pytest.mark.parametrize("branching", [1, 2, 3])
+def test_fractal_matches_all_pairs_reference(kind, branching):
+    frame = SymbolicTreeFrame(kind, branching)
+    for depth, lhs_kind in itertools.product(range(7), [None, *FrameKind]):
+        got = check_fractal(frame, depth, lhs_kind=lhs_kind)
+        expected = _fractal_all_pairs(frame, depth, lhs_kind)
+        assert got.to_dict(include_millis=False) == \
+            expected.to_dict(include_millis=False), (depth, lhs_kind)
+
+
+@pytest.mark.parametrize("kind", list(FrameKind))
+@pytest.mark.parametrize("branching", [1, 2, 3])
+def test_tree_successors_match_word_rel_filter(kind, branching):
+    frame = SymbolicTreeFrame(kind, branching)
+    words = enumerate_words(branching, 6)
+    # each shallower window is the prefix of words of length <= depth, so it
+    # filters to the words of the deepest row no longer than depth
+    rows = {u.letters: [v.letters for v in words if word_rel(frame, u, v)]
+            for u in words}
+    for depth in range(7):
+        layers = word_layers(branching, depth)
+        window = [t for layer in layers for t in layer]
+        assert window == [w.letters for w in enumerate_words(branching, depth)]
+        for u in window:
+            expected = [v for v in rows[u] if len(v) <= depth]
+            assert list(tree_successors(kind, u, layers)) == expected
+
+
+def test_tree_successors_outside_the_window():
+    layers = word_layers(2, 2)
+    assert list(tree_successors(FrameKind.RT, (1, 1, 1), layers)) == []
+    assert list(tree_successors(FrameKind.RN, (1, 2), layers)) == [(1, 2)]
+    assert list(tree_successors(FrameKind.IN, (1, 2), layers)) == []
+
+
 def test_tagged_word_validation():
     with pytest.raises(ValueError):
         tagged_word([(3, 1)], 2, 2)
@@ -201,6 +260,23 @@ def test_satisfies_unknown_world_and_atom():
         satisfies(frame, {}, "w", parse("p"))
     with pytest.raises(TypeError, match="not a formula"):
         satisfies(frame, {"p": frozenset({"w"})}, "w", "p")
+
+
+def _successors_per_world(frame, i):
+    """Reference: one scan of relation i per world."""
+    return {w: frozenset(b for a, b in frame.rel.get(i, ()) if a == w)
+            for w in frame.worlds}
+
+
+def test_successor_sets_and_frame_props_match_per_world_scan():
+    for seed in range(200):
+        frame = random_kripke_frame(Random(seed), max_worlds=6)
+        for i in frame.modalities:
+            succ = _successors_per_world(frame, i)
+            assert frame.successor_sets(i) == succ
+            assert frame_props(frame)[i] == FrameProps(
+                all(succ.values()), all(w in succ[w] for w in frame.worlds),
+                all(succ[v] <= succ[w] for w in frame.worlds for v in succ[w]))
 
 
 def test_frame_props_pinned():

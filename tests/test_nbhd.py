@@ -126,6 +126,17 @@ def test_nof_chain():
     assert nf.base[1]["v"] == (frozenset(),)
 
 
+def test_nof_matches_per_world_successors():
+    # nof reads every successor set off one pass over each relation; the
+    # reference scans the whole relation once per world
+    for seed in range(200):
+        frame = random_kripke_frame(Random(seed), max_worlds=6)
+        expected = {i: {w: (frozenset(b for a, b in frame.rel[i] if a == w),)
+                        for w in frame.worlds}
+                    for i in frame.modalities}
+        assert nof(frame).base == expected
+
+
 # --- eval ------------------------------------------------------------------------
 
 def test_eval_improper_filter_box_and_diamond():
