@@ -4,7 +4,7 @@ for byte against tests/golden/.
 
 The corpus pins every counter, layer count, witness log and first
 counterexample of the window lemmas, the countermodel certificates and the
-finite-frame deciders (valid, mc, parse and the seeded sweeps), plus the
+finite-frame deciders (valid, mc, char, parse and the seeded sweeps), plus the
 bounded evaluator's labels, so a faster implementation must reproduce them
 exactly.
 Regenerate it only when an output is meant to change:
@@ -204,12 +204,20 @@ def _cases() -> dict[str, Callable[[], str]]:
             lambda f=_frame(kind, 1): check_chr_certificate(
                 f, f, Bounds(), valuation=st_com_valuation(anchor)))
     # finite frames: validity with first counterexamples, model checking at
-    # every world and at one, parsing, and the seeded sweeps
+    # every world and at one, the D/T/Four flags, parsing, and the seeded sweeps
     for frame, names in VALID_CASES.items():
         for name in names:
             cases[f"valid-{frame}-{name}"] = _cli_files(
                 {"frame": FINITE_FRAMES[frame]}, "valid", "--frame", "@frame",
                 "--formula", FORMULAS[name])
+    for frame, modality in itertools.product(FINITE_FRAMES, (1, 2)):
+        cases[f"char-{frame}-m{modality}"] = _cli_files(
+            {"frame": FINITE_FRAMES[frame]}, "char", "--frame", "@frame",
+            "--modality", str(modality))
+    wide = {f"w{n}": [[f"w{n}"]] for n in range(13)}
+    cases["char-13-worlds-budget"] = _cli_files(
+        {"frame": {"worlds": list(wide), "base": {"1": wide}}}, "char", "--frame",
+        "@frame")
     for name in ("k1", "t2", "four2", "com", "chr", "mixed-late"):
         cases[f"mc-s4xd4-{name}"] = _cli_files(
             {"model": MODEL}, "mc", "--model", "@model", "--formula", FORMULAS[name])
