@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from .report import BudgetExceeded
 
@@ -88,18 +88,21 @@ def diamond(i: int, phi: Formula) -> Formula:
     return not_(Box(i, not_(phi)))
 
 
-# Nodes of compile_formula: (OP_BOTTOM, None, None), (OP_ATOM, name, None),
+# Nodes of compile_formulas: (OP_BOTTOM, None, None), (OP_ATOM, name, None),
 # (OP_IMPLIES, left, right) and (OP_BOX, modality, body), where left, right
 # and body are positions of earlier nodes.
 OP_BOTTOM, OP_ATOM, OP_IMPLIES, OP_BOX = "false", "atom", "->", "box"
 Node = tuple[str, Any, Any]
 
 
-def compile_formula(phi: Formula) -> list[Node]:
-    """The distinct subformulas of phi in post-order, each once, root last.
+def compile_formulas(phis: Iterable[Formula]) -> tuple[list[Node], list[int]]:
+    """The distinct subformulas of all phis in post-order, each once, and the
+    position of each phi's own node.
 
     This is the one walk over the formula tree; evaluators and the folds
-    below read the node list instead of dispatching on the classes.
+    below read the node list instead of dispatching on the classes. A family
+    that shares subformulas is compiled into one DAG, so an evaluator visits
+    each shared subformula once for the whole family.
     """
     position: dict[Node, int] = {}  # insertion order is post-order
 
@@ -116,8 +119,13 @@ def compile_formula(phi: Formula) -> list[Node]:
             raise TypeError(f"not a formula: {f!r}")
         return position.setdefault(node, len(position))
 
-    visit(phi)
-    return list(position)
+    roots = [visit(phi) for phi in phis]
+    return list(position), roots
+
+
+def compile_formula(phi: Formula) -> list[Node]:
+    """The distinct subformulas of phi in post-order, each once, root last."""
+    return compile_formulas((phi,))[0]
 
 
 def modal_depth(phi: Formula) -> int:

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Collection, Iterable, Iterator, Mapping, Sequence
 
-from .formula import OP_ATOM, OP_BOTTOM, OP_IMPLIES, Formula, compile_formula
+from .formula import (OP_ATOM, OP_BOTTOM, OP_IMPLIES, Formula, Node,
+                      compile_formula)
 from .report import VerificationReport, check_window
 
 DEFAULT_WORD_BUDGET = 500_000
@@ -319,27 +320,42 @@ def frame_props(frame: FiniteKripkeFrame) -> dict[int, FrameProps]:
     return out
 
 
-def denotation(frame: FiniteKripkeFrame, valuation: Mapping[str, Iterable[str]],
-               phi: Formula) -> frozenset[str]:
-    """Worlds where phi holds under the relational box clause."""
-    index = {w: n for n, w in enumerate(frame.worlds)}
-    succ_masks: dict[int, list[int]] = {}
-    for i in frame.modalities:
-        masks = [0] * len(frame.worlds)
-        for a, b in frame.rel[i]:
-            masks[index[a]] |= 1 << index[b]
-        succ_masks[i] = masks
-    full = (1 << len(frame.worlds)) - 1
-    atom_masks: dict[str, int] = {}
-    for name, ws in valuation.items():
-        mask = 0
-        for w in ws:
-            if w not in index:
-                raise ValueError(f"unknown world {w!r} in valuation")
-            mask |= 1 << index[w]
-        atom_masks[name] = mask
+def node_values(frames: Sequence[FiniteKripkeFrame],
+                valuations: Sequence[Mapping[str, Iterable[str]]],
+                nodes: Sequence[Node]) -> list[int]:
+    """The value of every node of a compiled family on a stack of frames,
+    under the relational box clause.
+
+    World k of each frame, in declaration order, is slot k, and frame f is
+    lane f: bit k * len(frames) + f of a value is the node's truth at slot k
+    of frame f, so one walk over the nodes evaluates the whole stack. A box
+    takes one big-int step per slot: into[j] marks the (slot, lane) bits
+    that see slot j, and the body's lanes at j are copied into every slot.
+    """
+    if not frames:  # no lanes, nothing to evaluate
+        return [0] * len(nodes)
+    lanes = len(frames)
+    slots = max(len(frame.worlds) for frame in frames)
+    full = (1 << slots * lanes) - 1
+    lane_bits = (1 << lanes) - 1
+    spread = sum(1 << k * lanes for k in range(slots))
+    modalities = set.intersection(*(set(frame.rel) for frame in frames))
+    names = set.intersection(*(set(val) for val in valuations))
+    into = {i: [0] * slots for i in modalities}
+    atom_masks = dict.fromkeys(names, 0)
+    for f, (frame, valuation) in enumerate(zip(frames, valuations)):
+        index = {w: k for k, w in enumerate(frame.worlds)}
+        for i, masks in into.items():
+            for a, b in frame.rel[i]:
+                masks[index[b]] |= 1 << index[a] * lanes + f
+        for name, ws in valuation.items():
+            for w in ws:
+                if w not in index:
+                    raise ValueError(f"unknown world {w!r} in valuation")
+                if name in atom_masks:
+                    atom_masks[name] |= 1 << index[w] * lanes + f
     values: list[int] = []
-    for op, x, y in compile_formula(phi):
+    for op, x, y in nodes:
         if op == OP_BOTTOM:
             out = 0
         elif op == OP_ATOM:
@@ -349,12 +365,21 @@ def denotation(frame: FiniteKripkeFrame, valuation: Mapping[str, Iterable[str]],
         elif op == OP_IMPLIES:
             out = (full & ~values[x]) | values[y]
         else:
-            if x not in succ_masks:
+            if x not in into:
                 raise ValueError(f"frame has no modality {x}")
-            out = sum(1 << w for w, succ in enumerate(succ_masks[x])
-                      if succ & ~values[y] == 0)
+            body = values[y]
+            out = full
+            for j, seen_by in enumerate(into[x]):
+                out &= ~seen_by | (body >> j * lanes & lane_bits) * spread
         values.append(out)
-    return frozenset(w for w, k in index.items() if values[-1] >> k & 1)
+    return values
+
+
+def denotation(frame: FiniteKripkeFrame, valuation: Mapping[str, Iterable[str]],
+               phi: Formula) -> frozenset[str]:
+    """Worlds where phi holds under the relational box clause."""
+    root = node_values([frame], [valuation], compile_formula(phi))[-1]
+    return frozenset(w for k, w in enumerate(frame.worlds) if root >> k & 1)
 
 
 def satisfies(frame: FiniteKripkeFrame, valuation: Mapping[str, Iterable[str]],

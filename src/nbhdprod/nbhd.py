@@ -13,12 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import and_, or_
-from typing import Any, Mapping
+from operator import and_
+from typing import Any, Iterable, Mapping, Sequence
 
-from .formula import (OP_ATOM, OP_BOTTOM, OP_IMPLIES, Formula, atoms,
-                      compile_formula, generate_formulas, modalities_of,
-                      unparse)
+from .formula import (OP_ATOM, OP_BOTTOM, OP_IMPLIES, Formula, Node, atoms,
+                      compile_formula, compile_formulas, generate_formulas,
+                      modalities_of, unparse)
 from .kripke import FiniteKripkeFrame, _expect, _modality, _worlds
 from .report import BudgetExceeded, VerificationReport
 
@@ -136,47 +136,100 @@ class FiniteNModel:
 
 
 # --- satisfaction over truth vectors ----------------------------------------------
+#
+# A node's value holds one truth vector per world slot, slot k being the
+# k-th declared world: bit f of a vector is the value in lane f. A lane is a
+# valuation for valid_on_frame and a model for node_values, so one walk over
+# a compiled family evaluates every lane at once.
 
-def _truth(frame: FiniteNFrame, phi: Formula,
-           atom_vectors: Mapping[str, list[int]], full: int) -> list[int]:
-    """Truth vectors of phi, one per world in declaration order: bit v of a
-    vector is the value of phi at that world under valuation v.
+BaseRows = dict[int, list[dict[int, int]]]
 
-    atom_vectors holds each atom's vectors in the same layout, and full has
-    a bit for every valuation, so one walk evaluates all valuations at once.
-    """
+
+def _add_base_rows(rows: BaseRows, frame: FiniteNFrame, lanes: int) -> None:
+    """Merge frame's base sets into rows: rows[i][k] maps each base set of
+    modality i at slot k, as a mask of slots, to the lanes that have it."""
     index = {w: k for k, w in enumerate(frame.worlds)}
-    rows = {i: [[[index[x] for x in u] for u in frame.base[i][w]]
-                for w in frame.worlds]
-            for i in frame.modalities}
-    values: list[list[int]] = []
-    for op, x, y in compile_formula(phi):
+    for i, per_world in frame.base.items():
+        row = rows.setdefault(i, [])
+        row.extend({} for _ in range(len(frame.worlds) - len(row)))
+        for k, w in enumerate(frame.worlds):
+            for u in per_world[w]:
+                key = sum(1 << index[x] for x in u)
+                row[k][key] = row[k][key] | lanes if key in row[k] else lanes
+
+
+def _truth(nodes: Sequence[Node], rows: BaseRows,
+           atom_vectors: Mapping[str, tuple[int, ...]], full: int,
+           slots: int) -> list[tuple[int, ...]]:
+    """Truth vectors of every node; full has a bit for every lane."""
+    # (lane mask, base set as slots) pairs, one per distinct set at a slot
+    pairs = {i: [[(mask, [m for m in range(slots) if key >> m & 1])
+                  for key, mask in row.items()] for row in per_slot]
+             for i, per_slot in rows.items()}
+    # equal values share one tuple: on a stack many formulas agree everywhere
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+    values: list[tuple[int, ...]] = []
+    for op, x, y in nodes:
         if op == OP_BOTTOM:
-            out = [0] * len(frame.worlds)
+            out = (0,) * slots
         elif op == OP_ATOM:
             if x not in atom_vectors:
                 raise ValueError(f"unknown atom {x!r}")
             out = atom_vectors[x]
         elif op == OP_IMPLIES:
-            out = [(full & ~a) | b for a, b in zip(values[x], values[y])]
+            out = tuple([(full & ~a) | b for a, b in zip(values[x], values[y])])
         else:
-            if x not in rows:
+            if x not in pairs:
                 raise ValueError(f"frame has no modality {x}")
             # the monotone clause: some base set lies inside the body's truth set
             body = values[y]
-            out = [reduce(or_, [reduce(and_, [body[m] for m in u], full)
-                                for u in row], 0)
-                   for row in rows[x]]
-        values.append(out)
-    return values[-1]
+            holds = []
+            for row in pairs[x]:
+                some = 0
+                for mask, u in row:
+                    for m in u:
+                        mask &= body[m]
+                    some |= mask
+                holds.append(some)
+            out = tuple(holds)
+        values.append(shared.setdefault(out, out))
+    return values
+
+
+def node_values(models: Iterable[FiniteNModel],
+                nodes: Sequence[Node]) -> list[tuple[int, ...]]:
+    """Truth vectors of every node of a compiled family on a stack of
+    models, model f in lane f: bit f of a node's vector at slot k is its
+    truth at world k of model f. The models are read once, so a generator
+    keeps only one of them alive."""
+    rows: BaseRows = {}
+    atom_lanes: dict[str, list[int]] = {}  # per atom and slot: lanes where true
+    modalities: set[int] | None = None
+    names: set[str] | None = None
+    slots = lanes = 0
+    for f, model in enumerate(models):
+        frame, valuation = model.frame, model.valuation
+        _add_base_rows(rows, frame, 1 << f)
+        modalities = set(frame.base) if modalities is None else modalities & set(frame.base)
+        names = set(valuation) if names is None else names & set(valuation)
+        slots, lanes = max(slots, len(frame.worlds)), f + 1
+        for name, ws in valuation.items():
+            per_slot = atom_lanes.setdefault(name, [])
+            per_slot.extend([0] * (len(frame.worlds) - len(per_slot)))
+            for k, w in enumerate(frame.worlds):
+                if w in ws:
+                    per_slot[k] |= 1 << f
+    if modalities is None or names is None:  # no lanes, nothing to evaluate
+        return [()] * len(nodes)
+    vectors = {name: tuple(atom_lanes[name] + [0] * (slots - len(atom_lanes[name])))
+               for name in names}
+    return _truth(nodes, {i: rows[i] for i in modalities}, vectors,
+                  (1 << lanes) - 1, slots)
 
 
 def denotation(model: FiniteNModel, phi: Formula) -> frozenset[str]:
-    worlds = model.frame.worlds
-    vectors = {name: [int(w in ws) for w in worlds]
-               for name, ws in model.valuation.items()}
-    out = _truth(model.frame, phi, vectors, 1)
-    return frozenset(w for w, t in zip(worlds, out) if t)
+    root = node_values([model], compile_formula(phi))[-1]
+    return frozenset(w for w, t in zip(model.frame.worlds, root) if t)
 
 
 def satisfies(model: FiniteNModel, w: str, phi: Formula) -> bool:
@@ -213,11 +266,18 @@ def valid_on_frame(frame: FiniteNFrame, phi: Formula) -> Counterexample | None:
     full = (1 << (1 << bits)) - 1
     vectors: dict[str, list[int]] = {a: [] for a in names}
     for j, (_, a) in enumerate(pairs):
-        # 2 ** j zeros then 2 ** j ones, repeated: full // (2 ** period - 1)
-        # has a one at the start of every period
-        half = 1 << j
-        vectors[a].append(full // ((1 << 2 * half) - 1) * (((1 << half) - 1) << half))
-    out = _truth(frame, phi, vectors, full)
+        # 2 ** j zeros then 2 ** j ones, doubled until it has a bit for
+        # every valuation
+        vector, size = ((1 << (1 << j)) - 1) << (1 << j), 2 << j
+        while size < 1 << bits:
+            vector |= vector << size
+            size *= 2
+        vectors[a].append(vector)
+    rows: BaseRows = {}
+    _add_base_rows(rows, frame, full)
+    out = _truth(compile_formula(phi), rows,
+                 {a: tuple(vector) for a, vector in vectors.items()}, full,
+                 len(frame.worlds))[-1]
     failing = full & ~reduce(and_, out, full)
     if not failing:
         return None
@@ -244,8 +304,11 @@ def structural_characteristics(frame: FiniteNFrame, i: int) -> Characteristics:
     d_ok: no empty base set (the filter is proper everywhere).
     t_ok: every base set contains its own point.
     four_ok: for every member U of a point's filter, the set of points whose
-    filter contains U is itself in the point's filter; members are enumerated
-    as all subsets of the carrier, hence the world-count guard.
+    filter contains U is itself in the point's filter. Filters are upward
+    closed and U -> {v : U in N(v)} is monotone, so it is enough to check
+    the base sets of each point. Frames of more than FOUR_GUARD_WORLDS
+    worlds are a budget outcome, as they were when every subset of the
+    carrier was checked, so char answers the same on every frame.
     """
     if i not in frame.modalities:
         raise ValueError(f"frame has no modality {i}")
@@ -262,12 +325,10 @@ def structural_characteristics(frame: FiniteNFrame, i: int) -> Characteristics:
     def in_filter(w: int, u: int) -> bool:
         return any(b & ~u == 0 for b in rows[w])
 
-    four_ok = True
-    for u in range(1 << n):
-        holders = sum(1 << w for w in range(n) if in_filter(w, u))
-        if not all(in_filter(w, holders) for w in range(n) if holders >> w & 1):
-            four_ok = False
-            break
+    def holders(u: int) -> int:
+        return sum(1 << v for v in range(n) if in_filter(v, u))
+
+    four_ok = all(in_filter(w, holders(b)) for w, row in enumerate(rows) for b in row)
     return Characteristics(d_ok, t_ok, four_ok)
 
 
@@ -361,14 +422,16 @@ def check_truth_preservation(f: Mapping[str, str], source: FiniteNFrame,
                   for name in names}
         source_model = FiniteNModel(source, pulled)
         allowed = set(source.modalities)
-        for phi in generate_formulas(depth, names[:2]):
-            if not modalities_of(phi) <= allowed:
-                continue
-            den_source = denotation(source_model, phi)
-            den_target = denotation(target_model, phi)
-            for x in source.worlds:
+        formulas = [phi for phi in generate_formulas(depth, names[:2])
+                    if modalities_of(phi) <= allowed]
+        nodes, roots = compile_formulas(formulas)
+        values_source = node_values([source_model], nodes)
+        values_target = node_values([target_model], nodes)
+        slot = {w: k for k, w in enumerate(target_model.frame.worlds)}
+        for phi, r in zip(formulas, roots):
+            for k, x in enumerate(source.worlds):
                 report.checked += 1
-                if (x in den_source) != (f[x] in den_target):
+                if values_source[r][k] != values_target[r][slot[f[x]]]:
                     return report.fail({"formula": unparse(phi), "x": x, "fx": f[x]})
     return report
 

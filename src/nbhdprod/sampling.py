@@ -9,15 +9,17 @@ filter on a finite carrier (filters there are principal).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from random import Random
 from typing import Iterable, Sequence
 
-from .formula import (AxiomScheme, LOGICS, axiom_instance, fusion_axioms,
-                      generate_formulas, unparse)
+from .formula import (AxiomScheme, LOGICS, Node, axiom_instance,
+                      compile_formulas, fusion_axioms, generate_formulas,
+                      unparse)
 from .kripke import FiniteKripkeFrame
-from .kripke import denotation as kripke_denotation
-from .nbhd import (FiniteNFrame, FiniteNModel, denotation, nof, product_n,
+from .kripke import node_values as kripke_values
+from .nbhd import (FiniteNFrame, FiniteNModel, node_values, nof, product_n,
                    valid_on_frame)
 from .report import VerificationReport
 
@@ -115,28 +117,65 @@ def doubled_quotient(rng: Random, max_worlds: int = 3,
 
 # --- randomized agreement sweeps ----------------------------------------------
 
+@functools.lru_cache(maxsize=4)
+def _compiled_family(depth: int, atom_names: tuple[str, ...]
+                     ) -> tuple[tuple[Node, ...], tuple[int, ...]]:
+    """The generated family, compiled once per process: repeated sweeps at
+    one depth and atom list share its nodes instead of rebuilding a few
+    thousand formula objects each time."""
+    nodes, roots = compile_formulas(generate_formulas(depth, atom_names))
+    return tuple(nodes), tuple(roots)
+
+
 def nf_agreement_sweep(seed: int, n_frames: int = 100, max_worlds: int = 4,
                        depth: int = 2,
                        atom_names: Sequence[str] = ("p",)) -> VerificationReport:
     """Relational truth equals neighborhood truth over the successor-set
-    frame, pointwise, for every generated formula."""
+    frame, pointwise, for every generated formula.
+
+    The family is compiled once and each semantics evaluates it once over
+    the stack of all frames, frame f in lane f. Checks count frame by frame
+    and formula by formula, so the first counterexample is the first
+    failing formula of the lowest failing frame.
+    """
     with VerificationReport(
             lemma="nf-agreement",
             params={"seed": seed, "frames": n_frames, "max_worlds": max_worlds,
                     "depth": depth, "atoms": list(atom_names)}) as report:
         rng = Random(seed)
-        formulas = list(generate_formulas(depth, atom_names))
+        nodes, roots = _compiled_family(depth, tuple(atom_names))
+        frames, valuations = [], []
         for _ in range(n_frames):
             frame = random_kripke_frame(rng, max_worlds)
-            val = random_valuation(rng, frame.worlds, atom_names)
-            model = FiniteNModel(nof(frame), val)
-            for phi in formulas:
-                report.checked += 1
-                if kripke_denotation(frame, val, phi) != denotation(model, phi):
-                    return report.fail({"frame": frame.to_dict(),
-                                        "valuation": {a: sorted(ws)
-                                                      for a, ws in val.items()},
-                                        "formula": unparse(phi)})
+            frames.append(frame)
+            valuations.append(random_valuation(rng, frame.worlds, atom_names))
+        relational = kripke_values(frames, valuations, nodes)
+        neighborhood = node_values((FiniteNModel(nof(frame), val)
+                                    for frame, val in zip(frames, valuations)), nodes)
+        # present[k]: the lanes whose frame has a world at slot k
+        present = [sum(1 << f for f, frame in enumerate(frames) if k < len(frame.worlds))
+                   for k in range(max((len(frame.worlds) for frame in frames), default=0))]
+        lane_bits = (1 << n_frames) - 1
+        first: tuple[int, int] | None = None  # (lane, formula)
+        for n, r in enumerate(roots):
+            packed, vectors = relational[r], neighborhood[r]
+            failing = 0
+            for k, (lanes, vector) in enumerate(zip(present, vectors)):
+                failing |= ((packed >> k * n_frames & lane_bits) ^ vector) & lanes
+            if failing:
+                lane = (failing & -failing).bit_length() - 1
+                if first is None or lane < first[0]:
+                    first = (lane, n)
+        if first is None:
+            report.checked = n_frames * len(roots)
+        else:
+            lane, n = first
+            report.checked = lane * len(roots) + n + 1
+            phi = next(itertools.islice(generate_formulas(depth, atom_names), n, None))
+            return report.fail({"frame": frames[lane].to_dict(),
+                                "valuation": {a: sorted(ws)
+                                              for a, ws in valuations[lane].items()},
+                                "formula": unparse(phi)})
     return report
 
 

@@ -1,5 +1,6 @@
 """Acceptance suite: the eleven gate criteria, one per test, each printing a
-single PASS/FAIL line (visible with pytest -s) before asserting.
+single PASS/FAIL line (visible with pytest -s) before asserting. Beside
+criterion 2 runs the same agreement sweep one step larger.
 
 Every criterion re-derives its claim from scratch at the stated scale; the
 per-module suites pin the small examples, this file pins the budgets.
@@ -67,6 +68,20 @@ def test_acceptance_2_kripke_agreement():
     emit(2, "relational agreement after nof", ok,
          f"100 frames, {report.checked} formula checks, {elapsed:.1f}s < 60s")
     assert ok, report.counterexample
+
+
+def test_acceptance_2_one_depth_deeper():
+    """Criterion 2 stays at depth 2; the same sweep at depth 3 (8058
+    formulas) and at depth 2 over two atoms (4899) stays far inside its
+    bound."""
+    for depth, names, formulas in ((3, ("p",), 8058), (2, ("p", "q"), 4899)):
+        t0 = time.perf_counter()
+        report = nf_agreement_sweep(seed=202, n_frames=100, max_worlds=4,
+                                    depth=depth, atom_names=names)
+        elapsed = time.perf_counter() - t0
+        assert report.passed, report.counterexample
+        assert report.checked == 100 * formulas
+        assert elapsed < 60
 
 
 def test_acceptance_3_truth_preservation():

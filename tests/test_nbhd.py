@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from nbhdprod import nbhd
 from nbhdprod.formula import (Atom, AxiomScheme, Bottom, Box, Implies,
                               axiom_instance, generate_formulas,
                               modalities_of, parse, unparse)
@@ -22,7 +23,7 @@ from nbhdprod.nbhd import (FiniteNFrame, FiniteNModel, check_bounded_morphism,
                            product_n, product_world, satisfies,
                            structural_characteristics, valid_on_frame,
                            validate_frame)
-from nbhdprod.report import BudgetExceeded
+from nbhdprod.report import BudgetExceeded, VerificationReport
 from nbhdprod.sampling import (doubled_quotient, finite_com_sweep,
                                nf_agreement_sweep, random_kripke_frame,
                                random_nframe, random_valuation)
@@ -233,6 +234,40 @@ def test_characterization_soundness_random_frames():
             assert valid == getattr(chars, flag), (frame.to_dict(), scheme)
 
 
+def reference_four_ok(frame, i):
+    """four_ok by the all-subsets loop: for every subset U of the carrier,
+    every holder of U must have the holders of U in its filter."""
+    n = len(frame.worlds)
+    index = {w: k for k, w in enumerate(frame.worlds)}
+    rows = [[sum(1 << index[x] for x in u) for u in frame.base[i][w]]
+            for w in frame.worlds]
+
+    def in_filter(w, u):
+        return any(b & ~u == 0 for b in rows[w])
+
+    for u in range(1 << n):
+        holders = sum(1 << w for w in range(n) if in_filter(w, u))
+        if not all(in_filter(w, holders) for w in range(n) if holders >> w & 1):
+            return False
+    return True
+
+
+def test_four_ok_matches_all_subsets_loop():
+    """Checking Four at base sets only agrees with the all-subsets loop on
+    random unimodal frames and on both modalities of random products."""
+    rng = Random(7)
+    frames = [(random_nframe(rng, max_worlds=4), 1) for _ in range(3000)]
+    for _ in range(300):
+        product = product_n(random_nframe(rng), random_nframe(rng, max_worlds=2))
+        frames += [(product, 1), (product, 2)]
+    failing = 0
+    for frame, i in frames:
+        expected = reference_four_ok(frame, i)
+        assert structural_characteristics(frame, i).four_ok == expected, frame.to_dict()
+        failing += not expected
+    assert 500 <= failing <= len(frames) - 500, failing
+
+
 # --- products ---------------------------------------------------------------------
 
 def test_product_cylinder_bases():
@@ -412,6 +447,51 @@ def test_truth_preservation_random_quotients():
         model = FiniteNModel(target, {"p": frozenset(val["p"])})
         report = check_truth_preservation(f, source, model, 2)
         assert report.passed
+
+
+def reference_truth_preservation(f, source, target_model, depth):
+    """(checked, counterexample) of the per-formula loop: both denotations
+    of each generated formula, then the source worlds in order."""
+    names = sorted(target_model.valuation)
+    pulled = {name: frozenset(x for x in source.worlds
+                              if f[x] in target_model.valuation[name])
+              for name in names}
+    source_model = FiniteNModel(source, pulled)
+    checked = 0
+    for phi in generate_formulas(depth, names[:2]):
+        if not modalities_of(phi) <= set(source.modalities):
+            continue
+        den_source = denotation(source_model, phi)
+        den_target = denotation(target_model, phi)
+        for x in source.worlds:
+            checked += 1
+            if (x in den_source) != (f[x] in den_target):
+                return checked, {"formula": unparse(phi), "x": x, "fx": f[x]}
+    return checked, None
+
+
+def test_truth_preservation_matches_per_formula_loop(monkeypatch):
+    """With the morphism check switched off, random maps between random
+    frames fail: the first failure, in formula order and then world order,
+    and the check count are those of the per-formula loop."""
+    monkeypatch.setattr(nbhd, "check_bounded_morphism",
+                        lambda f, source, target: VerificationReport(lemma="stub"))
+    rng = Random(12)
+    failing = 0
+    for n in range(24):
+        source = random_nframe(rng, max_worlds=3)
+        target = random_nframe(rng, max_worlds=3) if n % 6 else source
+        f = {x: rng.choice(target.worlds) for x in source.worlds}
+        if n % 6 == 0:
+            f = {x: x for x in source.worlds}
+        names = ("p", "q") if n % 3 == 0 else ("p",)
+        model = FiniteNModel(target, {a: frozenset(ws) for a, ws in
+                                      random_valuation(rng, target.worlds, names).items()})
+        report = check_truth_preservation(f, source, model, 2)
+        expected = reference_truth_preservation(f, source, model, 2)
+        assert (report.checked, report.counterexample) == expected
+        failing += not report.passed
+    assert 10 <= failing <= 20, failing
 
 
 def test_truth_preservation_requires_morphism():

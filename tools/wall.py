@@ -46,6 +46,8 @@ COMMANDS: tuple[tuple[str, list[str]], ...] = (
     *((f"ff-morphism-rt-b2-d{d}", _cli("verify", "--lemma", "ff-morphism", "--kind",
                                        "rt", "--branching", "2", "--depth", str(d)))
       for d in (5, 6, 7)),
+    *((f"{lemma}-seed0", _cli("verify", "--lemma", lemma, "--seed", "0"))
+      for lemma in ("nf-agreement", "fusion-axioms", "finite-com")),
     ("tier-1", ["pytest", "-q", "--continue-on-collection-errors"]),
 )
 
