@@ -155,6 +155,8 @@ def _add_base_rows(rows: BaseRows, frame: FiniteNFrame, lanes: int) -> None:
         for k, w in enumerate(frame.worlds):
             for u in per_world[w]:
                 key = sum(1 << index[x] for x in u)
+                # a new set keeps the caller's mask, which valid_on_frame
+                # makes as wide as all valuations, instead of a copy
                 row[k][key] = row[k][key] | lanes if key in row[k] else lanes
 
 
