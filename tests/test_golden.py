@@ -144,6 +144,20 @@ def _cases() -> dict[str, Callable[[], str]]:
     for kind in ("rt", "it"):
         cases[f"verify-lex-{kind}-d4"] = _cli(
             "verify", "--lemma", "lex", "--kind", kind, "--depth", "4")
+    # one window deeper: the blocks of shared obligations that g-morphism,
+    # ff-morphism and the lex suite decide at once reach their full size
+    for k1, k2 in itertools.product(KINDS, KINDS):
+        cases[f"verify-g-morphism-{k1}-{k2}-b2-d5"] = _cli(
+            "verify", "--lemma", "g-morphism", "--kind1", k1, "--kind2", k2,
+            "--branching", "2", "--depth", "5")
+    for kind in ("rt", "it"):
+        cases[f"verify-lex-{kind}-b2-d5"] = _cli(
+            "verify", "--lemma", "lex", "--kind", kind, "--branching", "2",
+            "--depth", "5")
+    for kind in KINDS:
+        cases[f"verify-ff-morphism-{kind}-b2-d6"] = _cli(
+            "verify", "--lemma", "ff-morphism", "--kind", kind, "--branching", "2",
+            "--depth", "6")
     # the failing controls of the benchmark
     for kind, other in zip(KINDS, KINDS[1:] + KINDS[:1]):
         cases[f"control-chain-reverse-{kind}-d5"] = _report(
