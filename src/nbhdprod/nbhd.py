@@ -16,7 +16,7 @@ from functools import reduce
 from operator import and_
 from typing import Any, Iterable, Mapping, Sequence
 
-from .formula import (OP_ATOM, OP_BOTTOM, OP_IMPLIES, Formula, Node, atoms,
+from .formula import (OP_ATOM, OP_BOTTOM, OP_IMPLIES, Formula, Node,
                       compile_formula, compile_formulas, generate_formulas,
                       modalities_of, unparse)
 from .kripke import FiniteKripkeFrame, _expect, _modality, _worlds
@@ -259,7 +259,8 @@ def valid_on_frame(frame: FiniteNFrame, phi: Formula) -> Counterexample | None:
     at once: bit v of pair j's atom vector is bit j of v, so the first
     counterexample is the lowest bit missing from some world's truth vector.
     """
-    names = sorted(atoms(phi))
+    nodes = compile_formula(phi)
+    names = sorted({x for op, x, _ in nodes if op == OP_ATOM})
     pairs = [(w, a) for w in frame.worlds for a in names]
     bits = len(pairs)
     if bits > VALUATION_GUARD_BITS:
@@ -277,7 +278,7 @@ def valid_on_frame(frame: FiniteNFrame, phi: Formula) -> Counterexample | None:
         vectors[a].append(vector)
     rows: BaseRows = {}
     _add_base_rows(rows, frame, full)
-    out = _truth(compile_formula(phi), rows,
+    out = _truth(nodes, rows,
                  {a: tuple(vector) for a, vector in vectors.items()}, full,
                  len(frame.worlds))[-1]
     failing = full & ~reduce(and_, out, full)
