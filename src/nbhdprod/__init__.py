@@ -28,8 +28,8 @@ from .nbhd import (Characteristics, Counterexample, FiniteNFrame,
                    validate_frame)
 from .omega import (ProductPoint, PseudoSeq, axiom_evidence, check_chain,
                     enumerate_pseudo, forget_zeros, g_map, g_preimage,
-                    lex_between, lex_compare, lex_window_compare, lift,
-                    prefix, product_u_contains, pseudo,
+                    lex_between, lex_compare, lex_window_compare,
+                    lex_window_compares, lift, prefix, product_u_contains, pseudo,
                     strict_bounds_witnesses, u_contains,
                     verify_ff_morphism, verify_g_morphism, zero_seq)
 from .report import BudgetExceeded, VerificationReport

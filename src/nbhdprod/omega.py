@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from .kripke import (FrameKind, SymbolicTreeFrame, TaggedWord, Word,
                      _fusion_rel_on_tuples, _rel_on_tuples,
@@ -269,8 +269,13 @@ def verify_ff_morphism(frame: SymbolicTreeFrame, d: int) -> VerificationReport:
             if targets is None:
                 targets = list(tree_successors(kind, a_fw, layers))
                 successors[a_fw] = targets
-            for k in range(d + 1):
-                for bi in table.members(a_stored, k):
+            # the obligations at k depend on k only through m = max(k, st(alpha)),
+            # so every k up to st(alpha) shares one block: decide it at k = 0
+            # and count the other k that share it in bulk
+            first = min(len(a_stored) + 1, d)
+            for k in (0, *range(first + 1, d + 1)):
+                members = table.members(a_stored, k)
+                for bi in members:
                     report.count("forward")
                     if not _rel_on_tuples(kind, a_fw, table.words[bi]):
                         return report.fail({"layer": "forward",
@@ -287,6 +292,9 @@ def verify_ff_morphism(frame: SymbolicTreeFrame, d: int) -> VerificationReport:
                                             "alpha": list(a_stored), "k": k,
                                             "target": list(target),
                                             "witness": list(beta)})
+                if k == 0:
+                    report.count("forward", first * len(members))
+                    report.count("covering", first * len(targets))
     return report
 
 
@@ -445,10 +453,13 @@ def verify_g_morphism(frame1: SymbolicTreeFrame, frame2: SymbolicTreeFrame,
                       b1, d, False, DEFAULT_SEQ_BUDGET)),
                   2: MembershipTable(frame2.kind, _enumerate_stored(
                       b2, d, False, DEFAULT_SEQ_BUDGET))}
-        # successor words () R c per side, inside the window
+        # successor words () R c per side, inside the window, with their
+        # tagged forms and g's image of c written alone on side i
         side_steps = {
-            i: [(c, tuple((i, x) for x in c)) for c in tree_successors(
-                kinds[i], (), word_layers(branching, d, budget=DEFAULT_SEQ_BUDGET))]
+            i: [(c, tuple((i, x) for x in c),
+                 _interleave(c, ()) if i == 1 else _interleave((), c))
+                for c in tree_successors(kinds[i], (), word_layers(
+                    branching, d, budget=DEFAULT_SEQ_BUDGET))]
             for i, branching in ((1, b1), (2, b2))}
         g_cache: dict[tuple[tuple[int, ...], tuple[int, ...]],
                       tuple[tuple[int, int], ...]] = {}
@@ -460,57 +471,78 @@ def verify_g_morphism(frame1: SymbolicTreeFrame, frame2: SymbolicTreeFrame,
                 g_cache[(a, b)] = hit
             return hit
 
-        witness_cache: dict[tuple[int, tuple[int, ...], int], list[tuple]] = {}
+        witness_cache: dict[tuple[int, tuple[int, ...], int],
+                            tuple[tuple[int, ...], list[tuple], int]] = {}
 
-        def witnesses(i: int, anchor: tuple[int, ...], m: int) -> list[tuple]:
-            """Per step c on side i: c, its tagged form, the moved coordinate
-            prefix(anchor, m) + c, and whether that lies in U_m(anchor). None
-            of it depends on the pinned coordinate."""
+        def witnesses(i: int, anchor: tuple[int, ...],
+                      m: int) -> tuple[tuple[int, ...], list[tuple], int]:
+            """The head prefix(anchor, m); per step c on side i: c, the moved
+            coordinate head + c, c's tagged form, and whether head + c lies in
+            U_m(anchor); then the index of the first step that leaves U_m(anchor)
+            or whose image g(c) is not its tagged form, or the number of steps
+            if none does. None of it depends on the pinned coordinate."""
             key = (i, anchor, m)
             hit = witness_cache.get(key)
             if hit is None:
                 head, anchor_fw, kind = _prefix_tuple(anchor, m), _fw(anchor), kinds[i]
-                hit = []
-                for c, tagged in side_steps[i]:
-                    moved = _canon(head + c)
-                    hit.append((c, tagged, moved,
-                                _u_fast(kind, anchor, anchor_fw, moved, _fw(moved), m)))
+                steps, bad = [], None
+                for c, tagged, tail in side_steps[i]:
+                    x = _canon(head + c)
+                    inside = _u_fast(kind, anchor, anchor_fw, x, _fw(x), m)
+                    if bad is None and not (inside and tail == tagged):
+                        bad = len(steps)
+                    steps.append((c, x, tagged, inside))
+                hit = (head, steps, len(steps) if bad is None else bad)
                 witness_cache[key] = hit
             return hit
 
         def point(a: tuple[int, ...], b: tuple[int, ...]) -> dict[str, list[int]]:
             return {"first": list(a), "second": list(b)}
 
-        for alpha in tables[1].window:
-            for beta in tables[2].window:
+        def moved(i: int, x: tuple[int, ...], alpha: tuple[int, ...],
+                  beta: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+            """(alpha, beta) with coordinate i moved to x; the other stays pinned."""
+            return (x, beta) if i == 1 else (alpha, x)
+
+        # base-set indices reach d only for coordinates with st + 1 <= d, the
+        # shortlex prefix of each window
+        inner = {i: list(itertools.takewhile(lambda s: len(s) + 2 <= d,
+                                             tables[i].window)) for i in (1, 2)}
+        for alpha in inner[1]:
+            for beta in inner[2]:
                 lo = max(len(alpha), len(beta)) + 2  # max(st(alpha), st(beta)) + 1
-                if lo > d:
-                    continue
                 image = g_of(alpha, beta)
                 for m in range(lo, d + 1):
                     for i in (1, 2):
                         kind, table = kinds[i], tables[i]
                         anchor = alpha if i == 1 else beta
                         for bi in table.members(anchor, m):
-                            member = table.window[bi]
-                            q = (member, beta) if i == 1 else (alpha, member)
+                            q = moved(i, table.window[bi], alpha, beta)
                             report.count("forward")
                             if not _fusion_rel_on_tuples(kind, i, image, g_of(*q)):
                                 return report.fail({
                                     "layer": "forward", "modality": i, "m": m,
                                     "point": point(alpha, beta),
                                     "member": point(*q)})
-                        for c, tagged, moved, inside in witnesses(i, anchor, m):
-                            report.count("covering")
-                            # the witness moves coordinate i only; the other
-                            # coordinate stays pinned at the base point's
-                            q = (moved, beta) if i == 1 else (alpha, moved)
-                            if not (inside and _interleave(*q) == image + tagged):
-                                return report.fail({
-                                    "layer": "covering", "modality": i, "m": m,
-                                    "point": point(alpha, beta),
-                                    "step": list(c),
-                                    "witness": point(*q)})
+                        # g maps position by position and the pinned
+                        # coordinate is zero from m on, so every witness
+                        # head + c maps to g(head, pinned) + g(c): when the
+                        # first part is the image, the witnesses' verdicts
+                        # are those of the steps alone. Any other block is
+                        # mapped witness by witness.
+                        head, steps, bad = witnesses(i, anchor, m)
+                        if _interleave(*moved(i, head, alpha, beta)) != image:
+                            bad = next((j for j, (_, x, tagged, inside) in enumerate(steps)
+                                        if not inside or _interleave(
+                                            *moved(i, x, alpha, beta)) != image + tagged),
+                                       len(steps))
+                        report.count("covering", min(bad + 1, len(steps)))
+                        if bad < len(steps):
+                            c, x = steps[bad][:2]
+                            return report.fail({
+                                "layer": "covering", "modality": i, "m": m,
+                                "point": point(alpha, beta), "step": list(c),
+                                "witness": point(*moved(i, x, alpha, beta))})
     return report
 
 
@@ -574,6 +606,107 @@ def _count_below(keys: list[tuple[int, ...]], t: tuple[int, ...], width: int, *,
     return bisect_left(keys, head)
 
 
+class _LexWindow:
+    """The signed window of support <= d with its U_k table and its lex order,
+    built once and shared by every center checked on it with the same k_max
+    and anchor_left_closed."""
+
+    def __init__(self, kind: FrameKind, branching: int, d: int, k_max: int,
+                 anchor_left_closed: bool):
+        self.kind, self.k_max, self.anchor_left_closed = kind, k_max, anchor_left_closed
+        self.window = window = _enumerate_stored(branching, d, True, DEFAULT_SEQ_BUDGET)
+        self.table = MembershipTable(kind, window)
+        # lex order of the window: rank[i] is the position of window[i]
+        self.width = width = max(d, 0) + 1
+        self.order = sorted(range(len(window)),
+                            key=lambda i: _prefix_tuple(window[i], width))
+        self.keys = [_prefix_tuple(window[i], width) for i in self.order]
+        self.rank = [0] * len(window)
+        for r, i in enumerate(self.order):
+            self.rank[i] = r
+        # the neighborhood-inside layer does not depend on k: per alpha, its
+        # checked count, counterexample or None, and vacuous count
+        self._neighborhoods: dict[tuple[int, ...], tuple[int, Any, int]] = {}
+
+    def check(self, report: VerificationReport, alpha: PseudoSeq, k: int) -> None:
+        """Both layers of lex_window_compare at the center (alpha, k)."""
+        if not self._interval_inside(report, alpha, k):
+            return
+        outcome = self._neighborhoods.get(alpha.stored)
+        if outcome is None:
+            outcome = self._neighborhood_inside(alpha.stored)
+            self._neighborhoods[alpha.stored] = outcome
+        checked, counterexample, vacuous = outcome
+        report.checked += checked
+        if counterexample is not None:
+            report.fail(counterexample)
+        else:
+            report.params["vacuous_intervals"] = vacuous
+
+    def _interval_inside(self, report: VerificationReport, alpha: PseudoSeq,
+                         k: int) -> bool:
+        window, keys, width = self.window, self.keys, self.width
+        a_stored, a_fw = alpha.stored, _fw(alpha.stored)
+        punctured = self.kind is FrameKind.IT
+        p = _prefix_tuple(a_stored, max(k, alpha.st))
+        if punctured:
+            report.checked += 1
+            if _u_fast(self.kind, a_stored, a_fw, a_stored, a_fw, k):
+                report.fail({"layer": "interval-inside",
+                             "reason": "alpha not excluded", "k": k})
+                return False
+        start = _count_below(keys, p + (-1,), width, inclusive=True)
+        stop = _count_below(keys, p + (1,), width)
+        members = self.table.mask(a_stored, k)
+        for gi in sorted(self.order[start:stop]):
+            report.checked += 1
+            if not (members >> gi & 1 or (punctured and window[gi] == a_stored)):
+                report.fail({"layer": "interval-inside", "k": k,
+                             "gamma": list(window[gi])})
+                return False
+        return True
+
+    def _neighborhood_inside(self, a_stored: tuple[int, ...]) -> tuple[int, Any, int]:
+        window, keys, width, rank = self.window, self.keys, self.width, self.rank
+        # lowest and highest rank of each U_k'(alpha) up to the first empty
+        # one, which discharges every interval that reaches it
+        live: list[tuple[int, int]] = []
+        for kp in range(self.k_max + 1):
+            ranks = [rank[i] for i in self.table.members(a_stored, kp)]
+            if not ranks:
+                break
+            live.append((min(ranks), max(ranks)))
+        has_empty = len(live) < self.k_max + 1
+        a_below = _count_below(keys, a_stored, width)
+        a_upto = _count_below(keys, a_stored, width, inclusive=True)
+        above = [i for i in range(len(window)) if rank[i] >= a_upto]
+        # a live U_k' fits (l, r) iff l < its lowest member and its highest
+        # member < r, so (l, r) is discharged by a live k' iff rank(r) exceeds
+        # reach(l), the least highest member over the k' that fit on the left.
+        # Every other pair runs into the first empty U_k' (vacuous) or, when
+        # there is none, fails.
+        last = len(window) - 1
+        if self.anchor_left_closed:
+            rows = [(a_stored, min((hi for lo, hi in live if lo >= a_below),
+                                   default=last))]
+        else:
+            rows = [(window[i], min((hi for lo, hi in live if rank[i] < lo),
+                                    default=last))
+                    for i in range(len(window)) if rank[i] < a_below]
+        checked = vacuous = 0
+        for l_stored, reach in rows:
+            open_pairs = max(0, reach - a_upto + 1)
+            if open_pairs and not has_empty:
+                ri = next(j for j, r in enumerate(above) if rank[r] <= reach)
+                return checked + ri + 1, {
+                    "layer": "neighborhood-inside", "l": list(l_stored),
+                    "r": list(window[above[ri]]),
+                    "left_closed": self.anchor_left_closed}, vacuous
+            checked += len(above)
+            vacuous += open_pairs
+        return checked, None, vacuous
+
+
 def lex_window_compare(frame: SymbolicTreeFrame, alpha: PseudoSeq, k: int, d: int, *,
                        k_max: int | None = None,
                        anchor_left_closed: bool = False) -> VerificationReport:
@@ -599,80 +732,37 @@ def lex_window_compare(frame: SymbolicTreeFrame, alpha: PseudoSeq, k: int, d: in
     are checked in shortlex order, k' in increasing order, and the first k'
     that fits an interval is the one that discharges it, so checked, the
     vacuous count and the first counterexample are those of the pairwise
-    sweep.
+    sweep. This is the one-center case of lex_window_compares.
     """
+    return next(lex_window_compares(frame, ((alpha, k),), d, k_max=k_max,
+                                    anchor_left_closed=anchor_left_closed))
+
+
+def lex_window_compares(frame: SymbolicTreeFrame,
+                        centers: Iterable[tuple[PseudoSeq, int]], d: int, *,
+                        k_max: int | None = None,
+                        anchor_left_closed: bool = False
+                        ) -> Iterator[VerificationReport]:
+    """lex_window_compare at each (alpha, k) of centers in turn, yielding
+    one report per center. The signed window, its U_k table and its lex
+    order are built once, inside the first center's report, and shared by
+    the rest. Lazy, so a caller that stops at a failing report checks no
+    further center."""
     if not frame.kind.transitive:
         raise ValueError("order window checks need a transitive kind (it or rt)")
-    if not alpha.signed or alpha.branching != frame.branching:
-        raise ValueError("alpha must be signed with the frame's branching")
     if k_max is None:
         k_max = d + 1
-    with VerificationReport(
-            lemma="lex-window",
-            params={"kind": frame.kind.value, "branching": frame.branching,
-                    "alpha": list(alpha.stored), "k": k, "d": d, "k_max": k_max,
-                    "anchor_left_closed": anchor_left_closed}) as report:
-        window = _enumerate_stored(frame.branching, d, True, DEFAULT_SEQ_BUDGET)
-        table = MembershipTable(frame.kind, window)
-        # lex order of the window: rank[i] is the position of window[i]
-        width = max(d, 0) + 1
-        order = sorted(range(len(window)),
-                       key=lambda i: _prefix_tuple(window[i], width))
-        keys = [_prefix_tuple(window[i], width) for i in order]
-        rank = [0] * len(window)
-        for r, i in enumerate(order):
-            rank[i] = r
-        a_stored, a_fw = alpha.stored, _fw(alpha.stored)
-        punctured = frame.kind is FrameKind.IT
-        p = _prefix_tuple(a_stored, max(k, alpha.st))
-        if punctured:
-            report.checked += 1
-            if _u_fast(frame.kind, a_stored, a_fw, a_stored, a_fw, k):
-                return report.fail({"layer": "interval-inside",
-                                    "reason": "alpha not excluded", "k": k})
-        start = _count_below(keys, p + (-1,), width, inclusive=True)
-        stop = _count_below(keys, p + (1,), width)
-        members = table.mask(a_stored, k)
-        for gi in sorted(order[start:stop]):
-            report.checked += 1
-            if not (members >> gi & 1 or (punctured and window[gi] == a_stored)):
-                return report.fail({"layer": "interval-inside", "k": k,
-                                    "gamma": list(window[gi])})
-        # lowest and highest rank of each U_k'(alpha) up to the first empty
-        # one, which discharges every interval that reaches it
-        live: list[tuple[int, int]] = []
-        for kp in range(k_max + 1):
-            ranks = [rank[i] for i in table.members(a_stored, kp)]
-            if not ranks:
-                break
-            live.append((min(ranks), max(ranks)))
-        has_empty = len(live) < k_max + 1
-        a_below = _count_below(keys, a_stored, width)
-        a_upto = _count_below(keys, a_stored, width, inclusive=True)
-        above = [i for i in range(len(window)) if rank[i] >= a_upto]
-        # a live U_k' fits (l, r) iff l < its lowest member and its highest
-        # member < r, so (l, r) is discharged by a live k' iff rank(r) exceeds
-        # reach(l), the least highest member over the k' that fit on the left.
-        # Every other pair runs into the first empty U_k' (vacuous) or, when
-        # there is none, fails.
-        last = len(window) - 1
-        if anchor_left_closed:
-            rows = [(a_stored, min((hi for lo, hi in live if lo >= a_below),
-                                   default=last))]
-        else:
-            rows = [(window[i], min((hi for lo, hi in live if rank[i] < lo),
-                                    default=last))
-                    for i in range(len(window)) if rank[i] < a_below]
-        vacuous = 0
-        for l_stored, reach in rows:
-            open_pairs = max(0, reach - a_upto + 1)
-            if open_pairs and not has_empty:
-                ri = next(j for j, r in enumerate(above) if rank[r] <= reach)
-                report.checked += ri + 1
-                return report.fail({"layer": "neighborhood-inside",
-                                    "l": list(l_stored), "r": list(window[above[ri]]),
-                                    "left_closed": anchor_left_closed})
-            report.checked += len(above)
-            vacuous += open_pairs
-        report.params["vacuous_intervals"] = vacuous
-    return report
+    shared: _LexWindow | None = None
+    for alpha, k in centers:
+        if not alpha.signed or alpha.branching != frame.branching:
+            raise ValueError("alpha must be signed with the frame's branching")
+        with VerificationReport(
+                lemma="lex-window",
+                params={"kind": frame.kind.value, "branching": frame.branching,
+                        "alpha": list(alpha.stored), "k": k, "d": d, "k_max": k_max,
+                        "anchor_left_closed": anchor_left_closed}) as report:
+            if shared is None:
+                shared = _LexWindow(frame.kind, frame.branching, d, k_max,
+                                    anchor_left_closed)
+            shared.check(report, alpha, k)
+        yield report

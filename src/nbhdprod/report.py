@@ -61,10 +61,10 @@ class VerificationReport:
             self.counterexample = counterexample
         return self
 
-    def count(self, layer: str) -> None:
-        """One more obligation of the named layer, a key of params["layers"]."""
-        self.checked += 1
-        self.params["layers"][layer] += 1
+    def count(self, layer: str, n: int = 1) -> None:
+        """n more obligations of the named layer, a key of params["layers"]."""
+        self.checked += n
+        self.params["layers"][layer] += n
 
     def to_dict(self, include_millis: bool = True) -> dict[str, Any]:
         out: dict[str, Any] = {

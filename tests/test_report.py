@@ -46,6 +46,16 @@ def test_count_bumps_checked_and_the_named_layer():
     assert report.params["layers"] == {"forward": 1, "covering": 2}
 
 
+def test_count_in_bulk():
+    report = VerificationReport(
+        lemma="x", params={"layers": {"forward": 0, "covering": 0}})
+    report.count("covering", 5)
+    report.count("forward", 0)
+    report.count("forward")
+    assert report.checked == 6
+    assert report.params["layers"] == {"forward": 1, "covering": 5}
+
+
 def test_certificate_reject_fails_only_the_open_layer():
     anchor = ProductPoint(zero_seq(1), zero_seq(1))
     cert = Certificate("com", ("rt", "rt"), (1, 1), anchor, "st_com", Bounds())
