@@ -46,6 +46,13 @@ COMMANDS: tuple[tuple[str, list[str]], ...] = (
     *((f"ff-morphism-rt-b2-d{d}", _cli("verify", "--lemma", "ff-morphism", "--kind",
                                        "rt", "--branching", "2", "--depth", str(d)))
       for d in (5, 6, 7)),
+    *((f"g-morphism-rt-it-b2-d{d}", _cli("verify", "--lemma", "g-morphism", "--kind1",
+                                         "rt", "--kind2", "it", "--branching", "2",
+                                         "--depth", str(d)))
+      for d in (4, 5, 6)),
+    *((f"lex-rt-b2-d{d}", _cli("verify", "--lemma", "lex", "--kind", "rt",
+                               "--branching", "2", "--depth", str(d)))
+      for d in (4, 5, 6)),
     *((f"{lemma}-seed0", _cli("verify", "--lemma", lemma, "--seed", "0"))
       for lemma in ("nf-agreement", "fusion-axioms", "finite-com")),
     ("tier-1", ["pytest", "-q", "--continue-on-collection-errors"]),
