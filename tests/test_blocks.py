@@ -14,7 +14,8 @@ arguments. The _u_fast faults depend on k only through m, as U_k itself
 does; a fault that tells apart two k with the same m is outside what the
 block form promises. The g block form also rests on the interleave being
 positionwise, which test_interleave_is_positionwise checks exhaustively on
-short tuples.
+short tuples: a g that breaks it can pass the block form where the
+whole-witness loop fails, so that test, not the verify run, catches it.
 """
 
 import itertools
@@ -345,17 +346,13 @@ def test_g_blocks_fall_back_to_whole_witnesses(monkeypatch):
 
 # --- the interleave is positionwise ----------------------------------------------------
 
-def _tuples(alphabet, max_len):
-    return [t for n in range(max_len + 1) for t in itertools.product(alphabet, repeat=n)]
-
-
 def positionwise_violation(interleave, head_len=2, tail_len=3, alphabet=(0, 1, 2)):
     """The first (a, b, x, y) with len(a) == len(b) and
     interleave(a + x, b + y) != interleave(a, b) + interleave(x, y), or None."""
     heads = [(a, b) for n in range(head_len + 1)
              for a in itertools.product(alphabet, repeat=n)
              for b in itertools.product(alphabet, repeat=n)]
-    tails = _tuples(alphabet, tail_len)
+    tails = [t for n in range(tail_len + 1) for t in itertools.product(alphabet, repeat=n)]
     for a, b in heads:
         ab = interleave(a, b)
         for x, y in itertools.product(tails, tails):
@@ -368,11 +365,16 @@ def test_interleave_is_positionwise():
     assert positionwise_violation(_interleave) is None
 
 
-def test_positionwise_check_catches_a_position_dependent_interleave():
-    # a g that loses every letter past position 3 maps short tuples right,
-    # which is all a g block reads from heads and steps on small windows
+def test_positionwise_check_catches_a_position_dependent_interleave(monkeypatch):
+    # a g that loses every letter past position 3 maps tuples of length <= 3
+    # right, and at d = 3 a g block reads it on nothing longer (heads and
+    # steps are at most d long): the whole-witness loop sees the fault there,
+    # the block form does not, and this check does
     def truncating(a, b):
         return _interleave(a[:3], b[:3])
 
-    assert truncating((1, 2), (0, 1)) == _interleave((1, 2), (0, 1))
     assert positionwise_violation(truncating) is not None
+    monkeypatch.setattr(omega, "_interleave", truncating)
+    frame = SymbolicTreeFrame(FrameKind.RT, 2)
+    assert verify_g_morphism(frame, frame, 3).passed
+    assert reference_g_morphism(frame, frame, 3).counterexample["layer"] == "covering"
