@@ -270,10 +270,10 @@ def verify_ff_morphism(frame: SymbolicTreeFrame, d: int) -> VerificationReport:
                 targets = list(tree_successors(kind, a_fw, layers))
                 successors[a_fw] = targets
             # the obligations at k depend on k only through m = max(k, st(alpha)),
-            # so every k up to st(alpha) shares one block: decide it at k = 0
-            # and count the other k that share it in bulk
-            first = min(len(a_stored) + 1, d)
-            for k in (0, *range(first + 1, d + 1)):
+            # so k = 0..top share one block: decide it at k = 0 and count the
+            # other top values of k in bulk
+            top = min(len(a_stored) + 1, d)
+            for k in (0, *range(top + 1, d + 1)):
                 members = table.members(a_stored, k)
                 for bi in members:
                     report.count("forward")
@@ -293,8 +293,8 @@ def verify_ff_morphism(frame: SymbolicTreeFrame, d: int) -> VerificationReport:
                                             "target": list(target),
                                             "witness": list(beta)})
                 if k == 0:
-                    report.count("forward", first * len(members))
-                    report.count("covering", first * len(targets))
+                    report.count("forward", top * len(members))
+                    report.count("covering", top * len(targets))
     return report
 
 
