@@ -12,6 +12,7 @@ with nothing on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -200,7 +201,11 @@ def _cmd_countermodel(args: argparse.Namespace) -> int:
     return 0 if certificate.accepted else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on the first call and shared by
+    later ones: parsing reads it without changing it, and building it costs
+    more than a short command does."""
     parser = argparse.ArgumentParser(
         prog="nbhdprod",
         description="Neighborhood products of tree frames: model checking, "
@@ -286,9 +291,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

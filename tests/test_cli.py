@@ -15,7 +15,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import nbhdprod
+from nbhdprod import cli
 from nbhdprod.cli import main
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -402,6 +405,67 @@ def test_deep_formulas_exit_2(capsys, text):
     code, out, err = run_cli(capsys, "parse", "--formula", text)
     assert (code, out) == (2, "")
     assert err.startswith("formula error: formula nests deeper than")
+
+
+# --- one parser per process --------------------------------------------------------
+
+# (argv, golden file or None); the calls after --timings, the usage error and
+# --help rely on every default that those calls set
+_REUSE_CALLS = [
+    (["parse", "--formula", "<1>[2]p -> [2]<1>p"], "parse-4"),
+    (["verify", "--lemma", "chain", "--kind", "in", "--bounds", "3,3,2",
+      "--depth", "5", "--timings"], None),
+    (["verify", "--lemma", "chain", "--depth", "5"], "verify-chain-rt-b2-d5"),
+    (["countermodel", "--axiom", "com", "--kind1", "rt", "--kind2", "rt",
+      "--branching", "2"], "countermodel-com-rt-rt-b2"),
+    (["countermodel", "--axiom", "chr"], None),
+    (["tree", "--kind", "rt", "--branching", "2", "--depth", "6"], "tree-rt-b2-d6"),
+    (["verify", "--lemma", "nonsense"], None),
+    (["verify", "--lemma", "chain", "--depth", "5"], "verify-chain-rt-b2-d5"),
+    (["--help"], None),
+    (["parse", "--formula", "<1>[2]p -> [2]<1>p"], "parse-4"),
+    (["verify", "--help"], None),
+    (["countermodel", "--axiom", "com", "--kind1", "rt", "--kind2", "rt",
+      "--branching", "2"], "countermodel-com-rt-rt-b2"),
+]
+
+
+def _without_millis(out):
+    data = json.loads(out)
+    assert data.pop("millis") >= 0
+    return data
+
+
+def test_main_builds_its_parser_once(capsys):
+    """Each call parses into a fresh namespace, so no option, default, usage
+    error or --help leaks into the next call: twelve kinds of call, made
+    three times over in one process, each give what a first call with a
+    freshly built parser gives, and the golden output where there is one."""
+    first = {}
+    for argv, _ in _REUSE_CALLS:
+        cli._build_parser.cache_clear()
+        first[tuple(argv)] = run_cli(capsys, *argv)
+    cli._build_parser.cache_clear()
+    for _ in range(3):
+        for argv, golden in _REUSE_CALLS:
+            code, out, err = run_cli(capsys, *argv)
+            want_code, want_out, want_err = first[tuple(argv)]
+            if "--timings" in argv:
+                assert _without_millis(out) == _without_millis(want_out)
+            else:
+                assert out == want_out, argv
+            assert (code, err) == (want_code, want_err), argv
+            if golden is not None:
+                assert f"exit {code}\n{out}" == \
+                    (GOLDEN / f"{golden}.txt").read_text(encoding="utf-8")
+    assert cli._build_parser.cache_info().misses == 1
+    codes = {tuple(argv): first[tuple(argv)][0] for argv, _ in _REUSE_CALLS}
+    assert codes[("countermodel", "--axiom", "chr")] == 2
+    assert codes[("verify", "--lemma", "nonsense")] == 2
+    assert codes[("--help",)] == codes[("verify", "--help")] == 0
+    timed = json.loads(first[tuple(_REUSE_CALLS[1][0])][1])
+    assert timed["params"]["kind"] == "in"
+    assert timed["params"]["bounds"] == {"m": 3, "k": 3, "d": 2}
 
 
 # --- fuzzing: malformed files and formula text never escape as exceptions ---------
