@@ -25,7 +25,7 @@ from typing import Any, Callable
 from .formula import OP_ATOM, OP_BOTTOM, OP_IMPLIES, Formula, compile_formula
 from .kripke import SymbolicTreeFrame
 from .omega import (MembershipTable, ProductPoint, PseudoSeq, enumerate_pseudo,
-                    point_json, prefix, pseudo, u_contains, zero_seq)
+                    point_json, pseudo, relative_members, u_contains, zero_seq)
 
 
 @dataclass(frozen=True)
@@ -290,47 +290,51 @@ def eval_bounded(frame1: SymbolicTreeFrame, frame2: SymbolicTreeFrame,
     nodes = compile_formula(phi)
     if any(op == OP_ATOM and x != "p" for op, x, _ in nodes):
         raise ValueError("eval_bounded supports the single atom p")
-    frames = {1: frame1, 2: frame2}
-    suffixes = {i: [s.stored for s in
-                    enumerate_pseudo(frames[i].branching, bounds.d_enum)
-                    if s.stored]
-                for i in (1, 2)}
-    members_cache: dict[tuple[int, PseudoSeq, int], list[PseudoSeq]] = {}
-    memo: dict[tuple[int, ProductPoint], bool] = {}
+    frames = (frame1, frame2)
+    for seq, frame in zip((point.first, point.second), frames):
+        if seq.branching != frame.branching:
+            raise ValueError("sequence branching does not match the frame")
+        if seq.signed:
+            raise ValueError("cannot mix signed and unsigned sequences")
+    # The recursion runs on stored tuples. Each distinct member becomes a
+    # PseudoSeq once, and a ProductPoint only where the valuation reads it.
+    seqs = ({point.first.stored: point.first}, {point.second.stored: point.second})
+    suffixes = [[s.stored for s in enumerate_pseudo(frame.branching, bounds.d_enum)
+                 if s.stored] for frame in frames]
+    windows: dict[tuple[int, tuple[int, ...], int], list[tuple[int, ...]]] = {}
+    memo: dict[tuple[int, tuple[int, ...], tuple[int, ...]], bool] = {}
 
-    def members(i: int, center: PseudoSeq, cap: int) -> list[PseudoSeq]:
+    def members(i: int, center: tuple[int, ...], cap: int) -> list[tuple[int, ...]]:
         key = (i, center, cap)
-        hit = members_cache.get(key)
+        hit = windows.get(key)
         if hit is None:
-            frame = frames[i]
-            base = prefix(center, cap)
-            candidates = [center] + [pseudo(base + s, frame.branching)
-                                     for s in suffixes[i]]
-            hit = [c for c in candidates if u_contains(frame, center, cap, c)]
-            members_cache[key] = hit
+            hit = windows[key] = relative_members(frames[i].kind, center, cap,
+                                                  suffixes[i])
+            for c in hit:
+                if c not in seqs[i]:
+                    seqs[i][c] = PseudoSeq(c, frames[i].branching)
         return hit
 
-    def ev(k: int, q: ProductPoint) -> bool:
-        key = (k, q)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
+    def ev(k: int, a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+        key = (k, a, b)
+        out = memo.get(key)
+        if out is not None:
+            return out
         op, x, y = nodes[k]
         if op == OP_BOTTOM:
             out = False
         elif op == OP_ATOM:
-            out = valuation.contains(q)
+            out = valuation.contains(ProductPoint(seqs[0][a], seqs[1][b]))
         elif op == OP_IMPLIES:
-            out = (not ev(x, q)) or ev(y, q)
+            out = (not ev(x, a, b)) or ev(y, a, b)
         else:
-            cap = max(bounds.m_max, q.first.st, q.second.st)
+            cap = max(bounds.m_max, len(a) + 1, len(b) + 1)
             if x == 1:
-                out = all(ev(y, ProductPoint(c, q.second))
-                          for c in members(1, q.first, cap))
+                out = all(ev(y, c, b) for c in members(0, a, cap))
             else:
-                out = all(ev(y, ProductPoint(q.first, c))
-                          for c in members(2, q.second, cap))
+                out = all(ev(y, a, c) for c in members(1, b, cap))
         memo[key] = out
         return out
 
-    return BoundedResult(ev(len(nodes) - 1, point), bounds)
+    return BoundedResult(ev(len(nodes) - 1, point.first.stored, point.second.stored),
+                         bounds)

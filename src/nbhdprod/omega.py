@@ -154,6 +154,20 @@ def u_contains(frame: SymbolicTreeFrame, alpha: PseudoSeq, k: int,
                    beta.stored, _fw(beta.stored), k)
 
 
+def relative_members(kind: FrameKind, center: tuple[int, ...], k: int,
+                     suffixes: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The members of U_k(center) in the window relative to center, as stored
+    tuples: center itself, then prefix(center, max(k, st(center))) + s for
+    each nonempty canonical suffix s, in that order, each kept when it lies
+    in U_k(center). Unlike a window of bounded support, this one does not
+    thin out as k grows."""
+    center_fw = _fw(center)
+    head = _prefix_tuple(center, max(k, len(center) + 1))
+    # head + s ends in s's last entry, which is nonzero, so it is canonical
+    return [c for c in (center, *(head + s for s in suffixes))
+            if _u_fast(kind, center, center_fw, c, _fw(c), k)]
+
+
 class MembershipTable:
     """U_k membership over one enumeration window of stored tuples.
 
@@ -471,8 +485,12 @@ def verify_g_morphism(frame1: SymbolicTreeFrame, frame2: SymbolicTreeFrame,
                 g_cache[(a, b)] = hit
             return hit
 
-        witness_cache: dict[tuple[int, tuple[int, ...], int],
-                            tuple[tuple[int, ...], list[tuple], int]] = {}
+        # per side, (anchor, m) -> witnesses(i, anchor, m); a side-1 anchor
+        # is always the current alpha, so that side is dropped with g_cache
+        # when alpha moves on, while every alpha reuses side 2
+        witness_cache: dict[int, dict[tuple[tuple[int, ...], int],
+                                      tuple[tuple[int, ...], list[tuple], int]]] = {
+            1: {}, 2: {}}
 
         def witnesses(i: int, anchor: tuple[int, ...],
                       m: int) -> tuple[tuple[int, ...], list[tuple], int]:
@@ -481,8 +499,8 @@ def verify_g_morphism(frame1: SymbolicTreeFrame, frame2: SymbolicTreeFrame,
             U_m(anchor); then the index of the first step that leaves U_m(anchor)
             or whose image g(c) is not its tagged form, or the number of steps
             if none does. None of it depends on the pinned coordinate."""
-            key = (i, anchor, m)
-            hit = witness_cache.get(key)
+            key = (anchor, m)
+            hit = witness_cache[i].get(key)
             if hit is None:
                 head, anchor_fw, kind = _prefix_tuple(anchor, m), _fw(anchor), kinds[i]
                 steps, bad = [], None
@@ -493,7 +511,7 @@ def verify_g_morphism(frame1: SymbolicTreeFrame, frame2: SymbolicTreeFrame,
                         bad = len(steps)
                     steps.append((c, x, tagged, inside))
                 hit = (head, steps, len(steps) if bad is None else bad)
-                witness_cache[key] = hit
+                witness_cache[i][key] = hit
             return hit
 
         def point(a: tuple[int, ...], b: tuple[int, ...]) -> dict[str, list[int]]:
@@ -509,6 +527,8 @@ def verify_g_morphism(frame1: SymbolicTreeFrame, frame2: SymbolicTreeFrame,
         inner = {i: list(itertools.takewhile(lambda s: len(s) + 2 <= d,
                                              tables[i].window)) for i in (1, 2)}
         for alpha in inner[1]:
+            witness_cache[1].clear()
+            g_cache.clear()
             for beta in inner[2]:
                 lo = max(len(alpha), len(beta)) + 2  # max(st(alpha), st(beta)) + 1
                 image = g_of(alpha, beta)

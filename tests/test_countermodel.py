@@ -16,9 +16,11 @@ from nbhdprod.countermodel import (Bounds, check_chr_certificate,
                                    check_com_certificate, const_true_valuation,
                                    eval_bounded, st_chr_valuation,
                                    st_com_valuation)
-from nbhdprod.formula import parse
+from nbhdprod.formula import (OP_ATOM, OP_BOTTOM, OP_IMPLIES, compile_formula,
+                              generate_formulas, parse)
 from nbhdprod.kripke import FrameKind, SymbolicTreeFrame
-from nbhdprod.omega import ProductPoint, pseudo, zero_seq
+from nbhdprod.omega import (ProductPoint, enumerate_pseudo, prefix, pseudo,
+                            u_contains, zero_seq)
 
 COM = parse("[1][2] p -> [2][1] p")
 CHR = parse("~[1]~[2] p -> [2]~[1]~p")
@@ -159,12 +161,107 @@ def test_evaluator_agrees_with_rejected_controls():
 
 def test_eval_rejects_other_atoms():
     val = st_com_valuation(ANCHOR)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="single atom p"):
         eval_bounded(FRAMES[FrameKind.IN], FRAMES[FrameKind.IN],
                      parse("q"), ANCHOR, val)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="single atom p"):
         eval_bounded(FRAMES[FrameKind.IN], FRAMES[FrameKind.IN],
                      parse("[1] (p -> q)"), ANCHOR, val)
+
+
+def reference_eval_bounded(frame1, frame2, phi, point, valuation, bounds):
+    """eval_bounded's value, computed on PseudoSeq coordinates and
+    ProductPoint memo keys, with u_contains on every candidate member."""
+    nodes = compile_formula(phi)
+    if any(op == OP_ATOM and x != "p" for op, x, _ in nodes):
+        raise ValueError("eval_bounded supports the single atom p")
+    frames = {1: frame1, 2: frame2}
+    suffixes = {i: [s.stored for s in
+                    enumerate_pseudo(frames[i].branching, bounds.d_enum)
+                    if s.stored]
+                for i in (1, 2)}
+    members_cache = {}
+    memo = {}
+
+    def members(i, center, cap):
+        key = (i, center, cap)
+        hit = members_cache.get(key)
+        if hit is None:
+            frame = frames[i]
+            base = prefix(center, cap)
+            candidates = [center] + [pseudo(base + s, frame.branching)
+                                     for s in suffixes[i]]
+            hit = [c for c in candidates if u_contains(frame, center, cap, c)]
+            members_cache[key] = hit
+        return hit
+
+    def ev(k, q):
+        key = (k, q)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        op, x, y = nodes[k]
+        if op == OP_BOTTOM:
+            out = False
+        elif op == OP_ATOM:
+            out = valuation.contains(q)
+        elif op == OP_IMPLIES:
+            out = (not ev(x, q)) or ev(y, q)
+        else:
+            cap = max(bounds.m_max, q.first.st, q.second.st)
+            if x == 1:
+                out = all(ev(y, ProductPoint(c, q.second))
+                          for c in members(1, q.first, cap))
+            else:
+                out = all(ev(y, ProductPoint(q.first, c))
+                          for c in members(2, q.second, cap))
+        memo[key] = out
+        return out
+
+    return ev(len(nodes) - 1, point)
+
+
+def _eval_points(b):
+    """The zero anchor and three points off it, at branching b."""
+    return [ProductPoint(pseudo(x, b), pseudo(y, b))
+            for x, y in (((), ()), ((0, 1), ()), ((b,), (0, 0, 1)), ((1, 0, 1), (b,)))]
+
+
+def test_eval_bounded_matches_reference():
+    """The same labels as the PseudoSeq evaluator over the 1514 formulas of
+    generate_formulas(2, ("p",)), taken in turn, three per setting (one at
+    b2 with bounds 8,8,4, where a formula costs about 20 ms): every kind
+    pair, branching 1 and 2, bounds 8,8,4 and 3,3,2, the three valuations,
+    and four points. The cycle goes round the family more than once."""
+    formulas = itertools.cycle(generate_formulas(2, ("p",)))
+    checked = 0
+    for (k1, k2), b, bounds in itertools.product(
+            PAIRS, (1, 2), (Bounds(8, 8, 4), Bounds(3, 3, 2))):
+        f1, f2 = SymbolicTreeFrame(k1, b), SymbolicTreeFrame(k2, b)
+        anchor = ProductPoint(zero_seq(b), zero_seq(b))
+        per_setting = 1 if b == 2 and bounds.d_enum == 4 else 3
+        for make in (st_com_valuation, st_chr_valuation, const_true_valuation):
+            val = make(anchor)
+            for point in _eval_points(b):
+                for phi in itertools.islice(formulas, per_setting):
+                    want = reference_eval_bounded(f1, f2, phi, point, val, bounds)
+                    got = eval_bounded(f1, f2, phi, point, val, bounds)
+                    assert got.value is want, (k1, k2, b, bounds, val.name, point, phi)
+                    checked += 1
+    assert checked == 1920
+
+
+def test_eval_rejects_mismatched_points():
+    """One check at entry, with the messages u_contains gives."""
+    val = st_com_valuation(ANCHOR)
+    in1 = FRAMES[FrameKind.IN]
+    for point in (ProductPoint(zero_seq(2), zero_seq(1)),
+                  ProductPoint(zero_seq(1), zero_seq(2))):
+        with pytest.raises(ValueError, match="branching does not match"):
+            eval_bounded(in1, in1, parse("p"), point, val)
+    with pytest.raises(ValueError, match="signed and unsigned"):
+        eval_bounded(in1, in1, parse("[1] p"),
+                     ProductPoint(zero_seq(1, signed=True), zero_seq(1)), val)
 
 
 # --- valuations -----------------------------------------------------------------------
