@@ -10,8 +10,10 @@ and a nonzero exit stops the measurement. With --parent the
 two checkouts take turns run by run, so a slow stretch of a shared host
 hits both. Progress goes to stderr; stdout is one JSON object holding the
 env fields that bench/run.py prints (python, nproc, platform, and per
-checkout git_commit and src_sha256) and, per command, its argv and the
-median seconds of each checkout. Times include interpreter start-up.
+checkout git_commit and src_sha256) and, per command, its argv and, per
+checkout, the median seconds and the median peak RSS in MB (the child's
+ru_maxrss from os.wait4, which Linux gives in KiB). Times include
+interpreter start-up, and so does the RSS.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from typing import Any
 
@@ -49,10 +52,17 @@ COMMANDS: tuple[tuple[str, list[str]], ...] = (
     *((f"g-morphism-rt-it-b2-d{d}", _cli("verify", "--lemma", "g-morphism", "--kind1",
                                          "rt", "--kind2", "it", "--branching", "2",
                                          "--depth", str(d)))
-      for d in (4, 5, 6)),
+      for d in (4, 5, 6, 7)),
     *((f"lex-rt-b2-d{d}", _cli("verify", "--lemma", "lex", "--kind", "rt",
                                "--branching", "2", "--depth", str(d)))
       for d in (4, 5, 6)),
+    *((f"{lemma}-rt-b2-d{d}", _cli("verify", "--lemma", lemma, "--kind", "rt",
+                                   "--branching", "2", "--depth", str(d)))
+      for lemma in ("chain", "axiom-evidence") for d in (6, 7)),
+    *((f"countermodel-{axiom}-rt-rt-b2-{bounds}", _cli(
+        "countermodel", "--axiom", axiom, "--kind1", "rt", "--kind2", "rt",
+        "--branching", "2", "--bounds", bounds))
+      for axiom in ("com", "chr") for bounds in ("8,8,4", "10,10,5")),
     *((f"{lemma}-seed0", _cli("verify", "--lemma", lemma, "--seed", "0"))
       for lemma in ("nf-agreement", "fusion-axioms", "finite-com")),
     ("tier-1", ["pytest", "-q", "--continue-on-collection-errors"]),
@@ -77,31 +87,39 @@ def checkout_env(root: str) -> dict[str, str]:
     return {"git_commit": commit, "src_sha256": digest.hexdigest()[:16]}
 
 
-def run_once(root: str, argv: list[str]) -> float:
+def run_once(root: str, argv: list[str]) -> tuple[float, float]:
+    """Wall seconds and peak RSS in MB of one run."""
     env = dict(os.environ)
     src = os.path.join(root, "src")
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"]
                                if env.get("PYTHONPATH") else "")
-    t0 = time.perf_counter()
-    done = subprocess.run([sys.executable, "-m", *argv], cwd=root, env=env,
-                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
-    seconds = time.perf_counter() - t0
-    if done.returncode != 0:
-        raise SystemExit(f"{' '.join(argv)} in {root} exited {done.returncode}:\n"
-                         f"{done.stderr[-2000:]}")
-    return seconds
+    with tempfile.TemporaryFile("w+") as err:
+        t0 = time.perf_counter()
+        child = subprocess.Popen([sys.executable, "-m", *argv], cwd=root, env=env,
+                                 stdout=subprocess.DEVNULL, stderr=err)
+        # wait4 reaps the child itself, so its rusage is not lost to Popen.wait
+        _, status, usage = os.wait4(child.pid, 0)
+        seconds = time.perf_counter() - t0
+        child.returncode = os.waitstatus_to_exitcode(status)
+        if child.returncode != 0:
+            err.seek(0)
+            raise SystemExit(f"{' '.join(argv)} in {root} exited {child.returncode}:\n"
+                             f"{err.read()[-2000:]}")
+    return seconds, usage.ru_maxrss / 1024.0
 
 
 def measure(roots: dict[str, str]) -> list[dict[str, Any]]:
     rows = []
     for name, argv in COMMANDS:
-        times: dict[str, list[float]] = {label: [] for label in roots}
+        runs: dict[str, list[tuple[float, float]]] = {label: [] for label in roots}
         for _ in range(REPEATS):
             for label, root in roots.items():
-                times[label].append(run_once(root, argv))
+                runs[label].append(run_once(root, argv))
         row: dict[str, Any] = {"name": name, "argv": argv}
         for label in roots:
-            row[f"{label}_s"] = round(statistics.median(times[label]), 3)
+            seconds, rss_mb = zip(*runs[label])
+            row[f"{label}_s"] = round(statistics.median(seconds), 3)
+            row[f"{label}_peak_rss_mb"] = round(statistics.median(rss_mb), 1)
         print(json.dumps(row), file=sys.stderr, flush=True)
         rows.append(row)
     return rows
