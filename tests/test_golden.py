@@ -198,25 +198,25 @@ def _cases() -> dict[str, Callable[[], str]]:
             "tree", "--kind", kind, "--branching", str(branching), "--depth",
             str(depth), *(("--nof",) if nof else ()))
     # countermodel certificates: every kind pair at b=2, the diagonal at
-    # b=1 with wider bounds, and the rejected controls whose failing layer
-    # logs how many window points it checked
+    # b=1 and b=2 with wider bounds, and the rejected controls at b=1 and b=2
+    # whose failing layer logs how many window points it checked
     for axiom in ("com", "chr"):
         for k1, k2 in itertools.product(KINDS, KINDS):
             cases[f"countermodel-{axiom}-{k1}-{k2}-b2"] = _cli(
                 "countermodel", "--axiom", axiom, "--kind1", k1, "--kind2", k2,
                 "--branching", "2")
-        for kind in KINDS:
-            cases[f"countermodel-{axiom}-{kind}-{kind}-b1-10,10,5"] = _cli(
+        for kind, branching in itertools.product(KINDS, ("1", "2")):
+            cases[f"countermodel-{axiom}-{kind}-{kind}-b{branching}-10,10,5"] = _cli(
                 "countermodel", "--axiom", axiom, "--kind1", kind, "--kind2", kind,
-                "--branching", "1", "--bounds", "10,10,5")
-    anchor = ProductPoint(zero_seq(1), zero_seq(1))
-    for kind in KINDS:
-        cases[f"control-com-const-true-{kind}-{kind}-b1"] = _certificate(
-            lambda f=_frame(kind, 1): check_com_certificate(
-                f, f, Bounds(), valuation=const_true_valuation(anchor)))
-        cases[f"control-chr-st-com-{kind}-{kind}-b1"] = _certificate(
-            lambda f=_frame(kind, 1): check_chr_certificate(
-                f, f, Bounds(), valuation=st_com_valuation(anchor)))
+                "--branching", branching, "--bounds", "10,10,5")
+    for kind, branching in itertools.product(KINDS, (1, 2)):
+        anchor = ProductPoint(zero_seq(branching), zero_seq(branching))
+        cases[f"control-com-const-true-{kind}-{kind}-b{branching}"] = _certificate(
+            lambda f=_frame(kind, branching), a=anchor: check_com_certificate(
+                f, f, Bounds(), valuation=const_true_valuation(a)))
+        cases[f"control-chr-st-com-{kind}-{kind}-b{branching}"] = _certificate(
+            lambda f=_frame(kind, branching), a=anchor: check_chr_certificate(
+                f, f, Bounds(), valuation=st_com_valuation(a)))
     # finite frames: validity with first counterexamples, model checking at
     # every world and at one, the D/T/Four flags, parsing, and the seeded sweeps
     for frame, names in VALID_CASES.items():
