@@ -14,18 +14,25 @@ explicit witnesses: universally quantified base-set indices run to a bound,
 universally quantified members run over an enumeration window, and every
 existential choice is a concrete constructed point that is re-checked for
 membership. A bounded evaluator computes the same truth values by blind
-recursion over the formula as a cross-check.
+recursion over the formula as a cross-check. Both work on the stored tuples
+of the coordinates (st is the length + 1), which the valuations read, and
+take their members from omega.relative_members; the certificates clip that
+window to support <= d_enum.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .formula import OP_ATOM, OP_BOTTOM, OP_IMPLIES, Formula, compile_formula
 from .kripke import SymbolicTreeFrame
-from .omega import (MembershipTable, ProductPoint, PseudoSeq, enumerate_pseudo,
-                    point_json, pseudo, relative_members, u_contains, zero_seq)
+from .omega import (ProductPoint, _enumerate_stored, _fw, _u_fast, relative_members,
+                    zero_seq)
+
+Stored = tuple[int, ...]
+Rows = Callable[[int], list[Stored]]
 
 
 @dataclass(frozen=True)
@@ -47,28 +54,29 @@ DEFAULT_BOUNDS = Bounds()
 
 @dataclass
 class SymbolicValuation:
-    """Valuation of the single atom p over product points."""
+    """Valuation of the single atom p, on the coordinates' stored tuples."""
 
     name: str
-    contains: Callable[[ProductPoint], bool]
+    holds: Callable[[Stored, Stored], bool]
+
+    def contains(self, q: ProductPoint) -> bool:
+        return self.holds(q.first.stored, q.second.stored)
 
 
 def st_com_valuation(anchor: ProductPoint) -> SymbolicValuation:
-    def contains(q: ProductPoint) -> bool:
-        return q.second == anchor.second or q.second.st >= q.first.st
-    return SymbolicValuation("st_com", contains)
+    beta0 = anchor.second.stored
+    return SymbolicValuation("st_com", lambda a, b: b == beta0 or len(b) >= len(a))
 
 
 def st_chr_valuation(anchor: ProductPoint) -> SymbolicValuation:
-    def contains(q: ProductPoint) -> bool:
-        return q.first != anchor.first and \
-            (q.second == anchor.second or q.second.st >= q.first.st)
-    return SymbolicValuation("st_chr", contains)
+    alpha0, beta0 = anchor.first.stored, anchor.second.stored
+    return SymbolicValuation(
+        "st_chr", lambda a, b: a != alpha0 and (b == beta0 or len(b) >= len(a)))
 
 
 def const_true_valuation(anchor: ProductPoint) -> SymbolicValuation:
     """Sanity control: under p = everywhere-true no consequent can fail."""
-    return SymbolicValuation("const_true", lambda q: True)
+    return SymbolicValuation("const_true", lambda a, b: True)
 
 
 @dataclass
@@ -104,7 +112,7 @@ class Certificate:
             "axiom": self.axiom,
             "kinds": list(self.kinds),
             "branchings": list(self.branchings),
-            "anchor": point_json(self.anchor),
+            "anchor": point_json(self.anchor.first.stored, self.anchor.second.stored),
             "valuation": self.valuation,
             "bounds": self.bounds.to_dict(),
             "accepted": self.accepted,
@@ -115,16 +123,50 @@ class Certificate:
         return out
 
 
-def _zeros_then_one(count: int, branching: int) -> PseudoSeq:
-    return pseudo((0,) * count + (1,), branching)
+def point_json(a: Stored, b: Stored) -> dict[str, list[int]]:
+    return {"first": list(a), "second": list(b)}
 
 
-def _zero_neighborhoods(frame: SymbolicTreeFrame,
-                        d: int) -> Callable[[int], list[PseudoSeq]]:
-    """k -> the members of U_k(0) with support <= d, in enumeration order."""
-    universe = enumerate_pseudo(frame.branching, d)
-    table = MembershipTable(frame.kind, [x.stored for x in universe])
-    return lambda k: [universe[i] for i in table.members((), k)]
+def _require_matching(frames: tuple[SymbolicTreeFrame, SymbolicTreeFrame],
+                      point: ProductPoint) -> None:
+    """u_contains's branching and signedness checks, once per entry point."""
+    for seq, frame in zip((point.first, point.second), frames):
+        if seq.branching != frame.branching:
+            raise ValueError("sequence branching does not match the frame")
+        if seq.signed:
+            raise ValueError("cannot mix signed and unsigned sequences")
+
+
+def _zero_rows(frame: SymbolicTreeFrame, d: int) -> Rows:
+    """k -> the members of U_k(0) with support <= d, in shortlex order: the
+    anchor's relative window, clipped to the suffixes that fit behind its
+    max(k, 1) leading zeros (the (b + 1)^L - 1 of length <= L come first)."""
+    suffixes = _enumerate_stored(frame.branching, d)[1:]
+
+    @functools.cache
+    def row(k: int) -> list[Stored]:
+        fit = (frame.branching + 1) ** max(d - max(k, 1), 0) - 1
+        return relative_members(frame.kind, (), k, suffixes[:fit])
+    return row
+
+
+def _open(axiom: str, frames: tuple[SymbolicTreeFrame, SymbolicTreeFrame],
+          bounds: Bounds, valuation: SymbolicValuation | None,
+          default: Callable[[ProductPoint], SymbolicValuation]) -> tuple[
+              Certificate, SymbolicValuation, Rows, Rows]:
+    """A certificate at the all-zero anchor, the valuation it reads (default
+    at the anchor unless one is given) and the U_k(0) rows of both frames."""
+    anchor = ProductPoint(zero_seq(frames[0].branching), zero_seq(frames[1].branching))
+    _require_matching(frames, anchor)
+    val = default(anchor) if valuation is None else valuation
+    cert = Certificate(axiom, (frames[0].kind.value, frames[1].kind.value),
+                       (frames[0].branching, frames[1].branching), anchor, val.name, bounds)
+    return cert, val, *(_zero_rows(frame, bounds.d_enum) for frame in frames)
+
+
+def _in_zero_u(frame: SymbolicTreeFrame, k: int, beta: Stored) -> bool:
+    """beta in U_k(0), decided as u_contains decides it."""
+    return _u_fast(frame.kind, (), (), beta, _fw(beta), k)
 
 
 def check_com_certificate(frame1: SymbolicTreeFrame, frame2: SymbolicTreeFrame,
@@ -141,48 +183,40 @@ def check_com_certificate(frame1: SymbolicTreeFrame, frame2: SymbolicTreeFrame,
     fails: for every k the member (max(k, st(beta')) zeros, 1) of U_k falsifies
     p by out-ranking beta'.
     """
-    b1, b2 = frame1.branching, frame2.branching
-    anchor = ProductPoint(zero_seq(b1), zero_seq(b2))
-    val = st_com_valuation(anchor) if valuation is None else valuation
-    cert = Certificate("com", (frame1.kind.value, frame2.kind.value), (b1, b2),
-                       anchor, val.name, bounds)
+    cert, val, first_u, second_u = _open("com", (frame1, frame2), bounds, valuation,
+                                         st_com_valuation)
 
-    first_u = _zero_neighborhoods(frame1, bounds.d_enum)
-    second_u = _zero_neighborhoods(frame2, bounds.d_enum)
-
-    outer_m = 1
-    layer = cert.layer("antecedent", outer_m=outer_m,
-                       inner_rule="max(st(alpha'), st(beta0))")
-    for ap in first_u(outer_m):
-        inner_j = max(ap.st, anchor.second.st)
+    layer = cert.layer("antecedent", outer_m=1, inner_rule="max(st(alpha'), st(beta0))")
+    for ap in first_u(1):
+        inner_j = max(len(ap), len(cert.anchor.second.stored)) + 1
         for bp in second_u(inner_j):
             layer["checked"] += 1
-            if not val.contains(ProductPoint(ap, bp)):
+            if not val.holds(ap, bp):
                 return cert.reject({"layer": "antecedent",
-                                    "witness": point_json(ProductPoint(ap, bp)),
+                                    "witness": point_json(ap, bp),
                                     "inner_j": inner_j})
 
     layer = cert.layer("consequent", witnesses=[])
     for m in range(1, bounds.m_max + 1):
-        beta = _zeros_then_one(m, b2)
+        beta = (0,) * m + (1,)
         layer["checked"] += 1
-        if not u_contains(frame2, anchor.second, m, beta):
+        if not _in_zero_u(frame2, m, beta):
             return cert.reject({"layer": "consequent", "m": m,
                                 "reason": "beta witness not in U_m(beta0)",
-                                "beta": list(beta.stored)})
-        entry: dict[str, Any] = {"m": m, "beta": list(beta.stored), "alphas": []}
+                                "beta": list(beta)})
+        entry: dict[str, Any] = {"m": m, "beta": list(beta), "alphas": []}
         for k in range(1, bounds.k_max + 1):
-            alpha = _zeros_then_one(max(k, beta.st), b1)
+            alpha = (0,) * max(k, len(beta) + 1) + (1,)
             layer["checked"] += 1
-            if not u_contains(frame1, anchor.first, k, alpha):
+            if not _in_zero_u(frame1, k, alpha):
                 return cert.reject({"layer": "consequent", "m": m, "k": k,
                                     "reason": "alpha witness not in U_k(alpha0)",
-                                    "alpha": list(alpha.stored)})
-            if val.contains(ProductPoint(alpha, beta)):
+                                    "alpha": list(alpha)})
+            if val.holds(alpha, beta):
                 return cert.reject({"layer": "consequent", "m": m, "k": k,
                                     "reason": "p not falsified",
-                                    "witness": point_json(ProductPoint(alpha, beta))})
-            entry["alphas"].append({"k": k, "alpha": list(alpha.stored)})
+                                    "witness": point_json(alpha, beta)})
+            entry["alphas"].append({"k": k, "alpha": list(alpha)})
         layer["witnesses"].append(entry)
     return cert
 
@@ -201,54 +235,46 @@ def check_chr_certificate(frame1: SymbolicTreeFrame, frame2: SymbolicTreeFrame,
     member of U_k(alpha0) falsifies p (alpha0 itself through the puncture,
     deeper members by out-ranking beta').
     """
-    b1, b2 = frame1.branching, frame2.branching
-    anchor = ProductPoint(zero_seq(b1), zero_seq(b2))
-    val = st_chr_valuation(anchor) if valuation is None else valuation
-    cert = Certificate("chr", (frame1.kind.value, frame2.kind.value), (b1, b2),
-                       anchor, val.name, bounds)
-
-    first_u = _zero_neighborhoods(frame1, bounds.d_enum)
-    second_u = _zero_neighborhoods(frame2, bounds.d_enum)
+    cert, val, first_u, second_u = _open("chr", (frame1, frame2), bounds, valuation,
+                                         st_chr_valuation)
 
     layer = cert.layer("antecedent", witnesses=[])
     for m in range(1, bounds.m_max + 1):
-        alpha = _zeros_then_one(m, b1)
+        alpha = (0,) * m + (1,)
         layer["checked"] += 1
-        if not u_contains(frame1, anchor.first, m, alpha) or alpha == anchor.first:
+        if not _in_zero_u(frame1, m, alpha) or alpha == cert.anchor.first.stored:
             return cert.reject({"layer": "antecedent", "m": m,
                                 "reason": "alpha witness not a fresh member of U_m(alpha0)",
-                                "alpha": list(alpha.stored)})
-        inner_j = alpha.st
-        inner_checked = 0
-        for bp in second_u(inner_j):
-            inner_checked += 1
+                                "alpha": list(alpha)})
+        inner_j = len(alpha) + 1
+        row = second_u(inner_j)
+        for bp in row:
             layer["checked"] += 1
-            if not val.contains(ProductPoint(alpha, bp)):
+            if not val.holds(alpha, bp):
                 return cert.reject({"layer": "antecedent", "m": m,
                                     "reason": "p fails inside the inner base set",
-                                    "witness": point_json(ProductPoint(alpha, bp))})
-        layer["witnesses"].append({"m": m, "alpha": list(alpha.stored),
-                                   "inner_j": inner_j, "inner_checked": inner_checked})
+                                    "witness": point_json(alpha, bp)})
+        layer["witnesses"].append({"m": m, "alpha": list(alpha),
+                                   "inner_j": inner_j, "inner_checked": len(row)})
 
     layer = cert.layer("consequent", witnesses=[])
     for j in range(1, bounds.m_max + 1):
-        beta = _zeros_then_one(j, b2)
+        beta = (0,) * j + (1,)
         layer["checked"] += 1
-        if not u_contains(frame2, anchor.second, j, beta):
+        if not _in_zero_u(frame2, j, beta):
             return cert.reject({"layer": "consequent", "j": j,
                                 "reason": "beta witness not in U_j(beta0)",
-                                "beta": list(beta.stored)})
-        k_star = max(bounds.k_max, beta.st)
-        inner_checked = 0
-        for ap in first_u(k_star):
-            inner_checked += 1
+                                "beta": list(beta)})
+        k_star = max(bounds.k_max, len(beta) + 1)
+        row = first_u(k_star)
+        for ap in row:
             layer["checked"] += 1
-            if val.contains(ProductPoint(ap, beta)):
+            if val.holds(ap, beta):
                 return cert.reject({"layer": "consequent", "j": j, "k_star": k_star,
                                     "reason": "p not falsified",
-                                    "witness": point_json(ProductPoint(ap, beta))})
-        layer["witnesses"].append({"j": j, "beta": list(beta.stored),
-                                   "k_star": k_star, "inner_checked": inner_checked})
+                                    "witness": point_json(ap, beta)})
+        layer["witnesses"].append({"j": j, "beta": list(beta),
+                                   "k_star": k_star, "inner_checked": len(row)})
     return cert
 
 
@@ -291,50 +317,27 @@ def eval_bounded(frame1: SymbolicTreeFrame, frame2: SymbolicTreeFrame,
     if any(op == OP_ATOM and x != "p" for op, x, _ in nodes):
         raise ValueError("eval_bounded supports the single atom p")
     frames = (frame1, frame2)
-    for seq, frame in zip((point.first, point.second), frames):
-        if seq.branching != frame.branching:
-            raise ValueError("sequence branching does not match the frame")
-        if seq.signed:
-            raise ValueError("cannot mix signed and unsigned sequences")
-    # The recursion runs on stored tuples. Each distinct member becomes a
-    # PseudoSeq once, and a ProductPoint only where the valuation reads it.
-    seqs = ({point.first.stored: point.first}, {point.second.stored: point.second})
-    suffixes = [[s.stored for s in enumerate_pseudo(frame.branching, bounds.d_enum)
-                 if s.stored] for frame in frames]
-    windows: dict[tuple[int, tuple[int, ...], int], list[tuple[int, ...]]] = {}
-    memo: dict[tuple[int, tuple[int, ...], tuple[int, ...]], bool] = {}
+    _require_matching(frames, point)
+    suffixes = [_enumerate_stored(frame.branching, bounds.d_enum)[1:] for frame in frames]
 
-    def members(i: int, center: tuple[int, ...], cap: int) -> list[tuple[int, ...]]:
-        key = (i, center, cap)
-        hit = windows.get(key)
-        if hit is None:
-            hit = windows[key] = relative_members(frames[i].kind, center, cap,
-                                                  suffixes[i])
-            for c in hit:
-                if c not in seqs[i]:
-                    seqs[i][c] = PseudoSeq(c, frames[i].branching)
-        return hit
+    @functools.cache
+    def members(i: int, center: Stored, cap: int) -> list[Stored]:
+        return relative_members(frames[i].kind, center, cap, suffixes[i])
 
-    def ev(k: int, a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-        key = (k, a, b)
-        out = memo.get(key)
-        if out is not None:
-            return out
+    @functools.cache
+    def ev(k: int, a: Stored, b: Stored) -> bool:
         op, x, y = nodes[k]
         if op == OP_BOTTOM:
-            out = False
-        elif op == OP_ATOM:
-            out = valuation.contains(ProductPoint(seqs[0][a], seqs[1][b]))
-        elif op == OP_IMPLIES:
-            out = (not ev(x, a, b)) or ev(y, a, b)
-        else:
-            cap = max(bounds.m_max, len(a) + 1, len(b) + 1)
-            if x == 1:
-                out = all(ev(y, c, b) for c in members(0, a, cap))
-            else:
-                out = all(ev(y, a, c) for c in members(1, b, cap))
-        memo[key] = out
-        return out
+            return False
+        if op == OP_ATOM:
+            return valuation.holds(a, b)
+        if op == OP_IMPLIES:
+            return (not ev(x, a, b)) or ev(y, a, b)
+        cap = max(bounds.m_max, len(a) + 1, len(b) + 1)
+        if x == 1:
+            return all(ev(y, c, b) for c in members(0, a, cap))
+        return all(ev(y, a, c) for c in members(1, b, cap))
 
-    return BoundedResult(ev(len(nodes) - 1, point.first.stored, point.second.stored),
-                         bounds)
+    value = ev(len(nodes) - 1, point.first.stored, point.second.stored)
+    ev.cache_clear()  # ev refers to itself: its memo would wait for the cycle collector
+    return BoundedResult(value, bounds)

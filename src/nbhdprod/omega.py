@@ -106,8 +106,8 @@ def _canon(entries: tuple[int, ...]) -> tuple[int, ...]:
     return entries[:end]
 
 
-def _enumerate_stored(branching: int, d: int, signed: bool,
-                      budget: int) -> list[tuple[int, ...]]:
+def _enumerate_stored(branching: int, d: int, signed: bool = False,
+                      budget: int = DEFAULT_SEQ_BUDGET) -> list[tuple[int, ...]]:
     """Stored tuples of enumerate_pseudo, same order and budget check."""
     alphabet = range(-branching, branching + 1) if signed else range(branching + 1)
     what = f"{'signed ' if signed else ''}sequences with support <= {d} " \
@@ -230,7 +230,7 @@ def check_chain(frame: SymbolicTreeFrame, d: int, k_max: int, *,
             lemma="chain",
             params={"kind": frame.kind.value, "branching": frame.branching, "d": d,
                     "k_max": k_max, "reverse_inclusion": reverse_inclusion}) as report:
-        window = _enumerate_stored(frame.branching, d, False, DEFAULT_SEQ_BUDGET)
+        window = _enumerate_stored(frame.branching, d)
         table = MembershipTable(frame.kind, window)
         for a_stored in window:
             masks = [table.mask(a_stored, k) for k in range(k_max + 1)]
@@ -274,7 +274,7 @@ def verify_ff_morphism(frame: SymbolicTreeFrame, d: int) -> VerificationReport:
             if forget_zeros(lift(w)) != w:
                 return report.fail({"layer": "surjectivity", "word": list(w.letters)})
         kind = frame.kind
-        window = _enumerate_stored(frame.branching, d, False, DEFAULT_SEQ_BUDGET)
+        window = _enumerate_stored(frame.branching, d)
         table = MembershipTable(kind, window)
         # R-successors inside the window, per zero-forgotten anchor
         successors: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
@@ -343,7 +343,7 @@ def axiom_evidence(frame: SymbolicTreeFrame, d: int,
             lemma="axiom-evidence",
             params={"kind": frame.kind.value, "branching": frame.branching, "d": d,
                     "evidence": kinds}) as report:
-        window = _enumerate_stored(frame.branching, d, False, DEFAULT_SEQ_BUDGET)
+        window = _enumerate_stored(frame.branching, d)
         table = MembershipTable(frame.kind, window)
         if "d" in kinds:
             for a_stored, a_fw in zip(window, table.words):
@@ -387,10 +387,6 @@ def axiom_evidence(frame: SymbolicTreeFrame, d: int,
 class ProductPoint:
     first: PseudoSeq
     second: PseudoSeq
-
-
-def point_json(p: ProductPoint) -> dict[str, list[int]]:
-    return {"first": list(p.first.stored), "second": list(p.second.stored)}
 
 
 def _interleave(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
@@ -463,10 +459,8 @@ def verify_g_morphism(frame1: SymbolicTreeFrame, frame2: SymbolicTreeFrame,
                 return report.fail({"layer": "surjectivity",
                                     "tagged": [list(t) for t in z.letters]})
         kinds = {1: frame1.kind, 2: frame2.kind}
-        tables = {1: MembershipTable(frame1.kind, _enumerate_stored(
-                      b1, d, False, DEFAULT_SEQ_BUDGET)),
-                  2: MembershipTable(frame2.kind, _enumerate_stored(
-                      b2, d, False, DEFAULT_SEQ_BUDGET))}
+        tables = {1: MembershipTable(frame1.kind, _enumerate_stored(b1, d)),
+                  2: MembershipTable(frame2.kind, _enumerate_stored(b2, d))}
         # successor words () R c per side, inside the window, with their
         # tagged forms and g's image of c written alone on side i
         side_steps = {
@@ -634,7 +628,7 @@ class _LexWindow:
     def __init__(self, kind: FrameKind, branching: int, d: int, k_max: int,
                  anchor_left_closed: bool):
         self.kind, self.k_max, self.anchor_left_closed = kind, k_max, anchor_left_closed
-        self.window = window = _enumerate_stored(branching, d, True, DEFAULT_SEQ_BUDGET)
+        self.window = window = _enumerate_stored(branching, d, True)
         self.table = MembershipTable(kind, window)
         # lex order of the window: rank[i] is the position of window[i]
         self.width = width = max(d, 0) + 1

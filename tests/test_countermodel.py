@@ -12,15 +12,15 @@ import json
 
 import pytest
 
-from nbhdprod.countermodel import (Bounds, check_chr_certificate,
+from nbhdprod.countermodel import (Bounds, Certificate, check_chr_certificate,
                                    check_com_certificate, const_true_valuation,
                                    eval_bounded, st_chr_valuation,
                                    st_com_valuation)
 from nbhdprod.formula import (OP_ATOM, OP_BOTTOM, OP_IMPLIES, compile_formula,
                               generate_formulas, parse)
 from nbhdprod.kripke import FrameKind, SymbolicTreeFrame
-from nbhdprod.omega import (ProductPoint, enumerate_pseudo, prefix, pseudo,
-                            u_contains, zero_seq)
+from nbhdprod.omega import (MembershipTable, ProductPoint, enumerate_pseudo,
+                            prefix, pseudo, u_contains, zero_seq)
 
 COM = parse("[1][2] p -> [2][1] p")
 CHR = parse("~[1]~[2] p -> [2]~[1]~p")
@@ -73,16 +73,24 @@ def test_const_true_control_rejected():
         assert cert.valuation == "const_true"
 
 
-def test_st_com_on_chr_control_rejected_at_reflexive_pair():
-    """Without the puncture the anchor itself witnesses <1>p at (alpha0,
-    beta'), so the Church-Rosser consequent cannot be falsified on a
-    reflexive first kind."""
-    rt = FRAMES[FrameKind.RT]
-    cert = check_chr_certificate(rt, rt, valuation=st_com_valuation(ANCHOR))
-    assert not cert.accepted
-    assert cert.failure["layer"] == "consequent"
-    assert cert.failure["reason"] == "p not falsified"
-    assert cert.failure["witness"]["first"] == []
+def test_st_com_on_chr_control_all_kinds():
+    """st_com is st_chr without the puncture alpha' != alpha0. On a reflexive
+    kind (rn, rt) alpha0 lies in every U_k(alpha0), so the anchor itself
+    witnesses <1>p at (alpha0, beta') and the Church-Rosser consequent cannot
+    be falsified. Irreflexive kinds (in, it) leave alpha0 out of U_k(alpha0),
+    so the puncture is redundant there and the certificate is accepted: the
+    control discriminates only on reflexive kinds."""
+    for kind in FrameKind:
+        frame = FRAMES[kind]
+        cert = check_chr_certificate(frame, frame, valuation=st_com_valuation(ANCHOR))
+        assert cert.valuation == "st_com"
+        if kind in (FrameKind.IN, FrameKind.IT):
+            assert cert.accepted, (kind, cert.failure)
+            continue
+        assert not cert.accepted, kind
+        assert cert.failure["layer"] == "consequent"
+        assert cert.failure["reason"] == "p not falsified"
+        assert cert.failure["witness"]["first"] == []
 
 
 def test_certificate_json_shape():
@@ -101,6 +109,148 @@ def test_certificate_json_shape():
     rejected = check_com_certificate(FRAMES[FrameKind.IN], FRAMES[FrameKind.IN],
                                      valuation=const_true_valuation(ANCHOR))
     assert "failure" in rejected.to_dict()
+
+
+def _reference_zero_neighborhoods(frame, d):
+    """k -> the members of U_k(0) with support <= d, in enumeration order."""
+    universe = enumerate_pseudo(frame.branching, d)
+    table = MembershipTable(frame.kind, [x.stored for x in universe])
+    return lambda k: [universe[i] for i in table.members((), k)]
+
+
+def point_json(p):
+    return {"first": list(p.first.stored), "second": list(p.second.stored)}
+
+
+def _zeros_then_one(count, branching):
+    return pseudo((0,) * count + (1,), branching)
+
+
+def reference_check_com_certificate(frame1, frame2, bounds=Bounds(), valuation=None):
+    """check_com_certificate on PseudoSeq members of an absolute window
+    (a MembershipTable over enumerate_pseudo) and ProductPoint witnesses,
+    with u_contains on every constructed witness."""
+    b1, b2 = frame1.branching, frame2.branching
+    anchor = ProductPoint(zero_seq(b1), zero_seq(b2))
+    val = st_com_valuation(anchor) if valuation is None else valuation
+    cert = Certificate("com", (frame1.kind.value, frame2.kind.value), (b1, b2),
+                       anchor, val.name, bounds)
+
+    first_u = _reference_zero_neighborhoods(frame1, bounds.d_enum)
+    second_u = _reference_zero_neighborhoods(frame2, bounds.d_enum)
+
+    outer_m = 1
+    layer = cert.layer("antecedent", outer_m=outer_m,
+                       inner_rule="max(st(alpha'), st(beta0))")
+    for ap in first_u(outer_m):
+        inner_j = max(ap.st, anchor.second.st)
+        for bp in second_u(inner_j):
+            layer["checked"] += 1
+            if not val.contains(ProductPoint(ap, bp)):
+                return cert.reject({"layer": "antecedent",
+                                    "witness": point_json(ProductPoint(ap, bp)),
+                                    "inner_j": inner_j})
+
+    layer = cert.layer("consequent", witnesses=[])
+    for m in range(1, bounds.m_max + 1):
+        beta = _zeros_then_one(m, b2)
+        layer["checked"] += 1
+        if not u_contains(frame2, anchor.second, m, beta):
+            return cert.reject({"layer": "consequent", "m": m,
+                                "reason": "beta witness not in U_m(beta0)",
+                                "beta": list(beta.stored)})
+        entry = {"m": m, "beta": list(beta.stored), "alphas": []}
+        for k in range(1, bounds.k_max + 1):
+            alpha = _zeros_then_one(max(k, beta.st), b1)
+            layer["checked"] += 1
+            if not u_contains(frame1, anchor.first, k, alpha):
+                return cert.reject({"layer": "consequent", "m": m, "k": k,
+                                    "reason": "alpha witness not in U_k(alpha0)",
+                                    "alpha": list(alpha.stored)})
+            if val.contains(ProductPoint(alpha, beta)):
+                return cert.reject({"layer": "consequent", "m": m, "k": k,
+                                    "reason": "p not falsified",
+                                    "witness": point_json(ProductPoint(alpha, beta))})
+            entry["alphas"].append({"k": k, "alpha": list(alpha.stored)})
+        layer["witnesses"].append(entry)
+    return cert
+
+
+def reference_check_chr_certificate(frame1, frame2, bounds=Bounds(), valuation=None):
+    """check_chr_certificate on the objects of reference_check_com_certificate."""
+    b1, b2 = frame1.branching, frame2.branching
+    anchor = ProductPoint(zero_seq(b1), zero_seq(b2))
+    val = st_chr_valuation(anchor) if valuation is None else valuation
+    cert = Certificate("chr", (frame1.kind.value, frame2.kind.value), (b1, b2),
+                       anchor, val.name, bounds)
+
+    first_u = _reference_zero_neighborhoods(frame1, bounds.d_enum)
+    second_u = _reference_zero_neighborhoods(frame2, bounds.d_enum)
+
+    layer = cert.layer("antecedent", witnesses=[])
+    for m in range(1, bounds.m_max + 1):
+        alpha = _zeros_then_one(m, b1)
+        layer["checked"] += 1
+        if not u_contains(frame1, anchor.first, m, alpha) or alpha == anchor.first:
+            return cert.reject({"layer": "antecedent", "m": m,
+                                "reason": "alpha witness not a fresh member of U_m(alpha0)",
+                                "alpha": list(alpha.stored)})
+        inner_j = alpha.st
+        inner_checked = 0
+        for bp in second_u(inner_j):
+            inner_checked += 1
+            layer["checked"] += 1
+            if not val.contains(ProductPoint(alpha, bp)):
+                return cert.reject({"layer": "antecedent", "m": m,
+                                    "reason": "p fails inside the inner base set",
+                                    "witness": point_json(ProductPoint(alpha, bp))})
+        layer["witnesses"].append({"m": m, "alpha": list(alpha.stored),
+                                   "inner_j": inner_j, "inner_checked": inner_checked})
+
+    layer = cert.layer("consequent", witnesses=[])
+    for j in range(1, bounds.m_max + 1):
+        beta = _zeros_then_one(j, b2)
+        layer["checked"] += 1
+        if not u_contains(frame2, anchor.second, j, beta):
+            return cert.reject({"layer": "consequent", "j": j,
+                                "reason": "beta witness not in U_j(beta0)",
+                                "beta": list(beta.stored)})
+        k_star = max(bounds.k_max, beta.st)
+        inner_checked = 0
+        for ap in first_u(k_star):
+            inner_checked += 1
+            layer["checked"] += 1
+            if val.contains(ProductPoint(ap, beta)):
+                return cert.reject({"layer": "consequent", "j": j, "k_star": k_star,
+                                    "reason": "p not falsified",
+                                    "witness": point_json(ProductPoint(ap, beta))})
+        layer["witnesses"].append({"j": j, "beta": list(beta.stored),
+                                   "k_star": k_star, "inner_checked": inner_checked})
+    return cert
+
+
+def test_certificates_match_reference():
+    """The same to_dict() as the certificates on PseudoSeq members of an
+    absolute window: every kind pair, branching 1 and 2, four bounds and
+    the default, const_true, st_com and st_chr valuations. The settings
+    include accepted and rejected certificates of both axioms."""
+    outcomes = set()
+    for (k1, k2), b, bounds in itertools.product(
+            PAIRS, (1, 2), (Bounds(1, 1, 1), Bounds(3, 3, 2), Bounds(8, 8, 4),
+                            Bounds(10, 10, 5))):
+        f1, f2 = SymbolicTreeFrame(k1, b), SymbolicTreeFrame(k2, b)
+        anchor = ProductPoint(zero_seq(b), zero_seq(b))
+        for make in (None, const_true_valuation, st_com_valuation, st_chr_valuation):
+            val = None if make is None else make(anchor)
+            for check, reference in (
+                    (check_com_certificate, reference_check_com_certificate),
+                    (check_chr_certificate, reference_check_chr_certificate)):
+                got = check(f1, f2, bounds, valuation=val)
+                want = reference(f1, f2, bounds, valuation=val)
+                assert got.to_dict() == want.to_dict(), \
+                    (k1, k2, b, bounds, val and val.name, check.__name__)
+                outcomes.add((got.axiom, got.accepted))
+    assert outcomes == {("com", True), ("com", False), ("chr", True), ("chr", False)}
 
 
 # --- bounded evaluator ---------------------------------------------------------------
@@ -272,6 +422,25 @@ def test_valuations_depend_only_on_canonical_form():
     b = ProductPoint(pseudo((0, 1), 1), pseudo((1, 0), 1))
     assert a == b
     assert val.contains(a) == val.contains(b)
+
+
+def test_valuations_match_their_pseudoseq_definitions():
+    """holds on stored tuples agrees with the valuations as written on
+    PseudoSeq coordinates (dataclass equality, the st property)."""
+    for b in (1, 2):
+        anchor = ProductPoint(zero_seq(b), zero_seq(b))
+        definitions = {
+            "st_com": lambda q: q.second == anchor.second or q.second.st >= q.first.st,
+            "st_chr": lambda q: q.first != anchor.first and (
+                q.second == anchor.second or q.second.st >= q.first.st),
+            "const_true": lambda q: True,
+        }
+        window = enumerate_pseudo(b, 3)
+        for make in (st_com_valuation, st_chr_valuation, const_true_valuation):
+            val = make(anchor)
+            for x, y in itertools.product(window, window):
+                assert val.holds(x.stored, y.stored) == \
+                    definitions[val.name](ProductPoint(x, y)), (val.name, x, y)
 
 
 def test_valuation_pins():

@@ -14,13 +14,13 @@ import pytest
 from nbhdprod.kripke import (FrameKind, SymbolicTreeFrame,
                              enumerate_tagged_words, enumerate_words,
                              tagged_word, word, word_rel)
-from nbhdprod.omega import (ProductPoint, PseudoSeq, axiom_evidence,
-                            check_chain, enumerate_pseudo, forget_zeros,
-                            g_map, g_preimage, lex_between, lex_compare,
-                            lex_window_compare, lift, prefix,
-                            product_u_contains, pseudo, strict_bounds_witnesses,
-                            u_contains, verify_ff_morphism, verify_g_morphism,
-                            zero_seq)
+from nbhdprod.omega import (MembershipTable, ProductPoint, PseudoSeq,
+                            axiom_evidence, check_chain, enumerate_pseudo,
+                            forget_zeros, g_map, g_preimage, lex_between,
+                            lex_compare, lex_window_compare, lift, prefix,
+                            product_u_contains, pseudo, relative_members,
+                            strict_bounds_witnesses, u_contains,
+                            verify_ff_morphism, verify_g_morphism, zero_seq)
 from nbhdprod.report import BudgetExceeded
 
 IN2 = SymbolicTreeFrame(FrameKind.IN, 2)
@@ -144,6 +144,24 @@ def test_u_contains_errors():
         u_contains(IN2, zero, 1, zero_seq(2, signed=True))
     with pytest.raises(ValueError):
         u_contains(IN2, zero, -1, zero)
+
+
+def test_clipped_relative_window_is_the_absolute_row():
+    """U_k of the all-zero anchor over the sequences of support <= d, as the
+    certificates read it: the anchor's relative window with only the
+    suffixes of length <= d - max(k, 1), which are the first
+    (b + 1)^(d - max(k, 1)) - 1 in shortlex order. Same members, same order
+    as the MembershipTable row over the absolute window."""
+    for kind, b, d in itertools.product(FrameKind, (1, 2, 3), range(1, 7)):
+        window = [x.stored for x in enumerate_pseudo(b, d)]
+        table = MembershipTable(kind, window)
+        suffixes = window[1:]
+        for k in range(14):
+            fit = d - max(k, 1)
+            clipped = [s for s in suffixes if len(s) <= fit]
+            assert clipped == suffixes[:(b + 1) ** max(fit, 0) - 1], (b, d, k)
+            assert relative_members(kind, (), k, clipped) == \
+                [window[i] for i in table.members((), k)], (kind, b, d, k)
 
 
 # --- chain lemma ---------------------------------------------------------------------
