@@ -13,11 +13,21 @@ A certificate discharges every quantifier layer of those two claims over
 explicit witnesses: universally quantified base-set indices run to a bound,
 universally quantified members run over an enumeration window, and every
 existential choice is a concrete constructed point that is re-checked for
-membership. A bounded evaluator computes the same truth values by blind
-recursion over the formula as a cross-check. Both work on the stored tuples
-of the coordinates (st is the length + 1), which the valuations read, and
-take their members from omega.relative_members; the certificates clip that
-window to support <= d_enum.
+membership. The certificates work on the stored tuples of the coordinates
+(st is the length + 1) and take their members from omega.relative_members,
+clipped to support <= d_enum.
+
+The valuations are rank valuations: at the all-zero anchor they read only
+the lengths of the two stored tuples (a coordinate equals the anchor's iff
+its length is 0), so they refuse any other anchor. A bounded evaluator
+computes the same truth values by blind recursion over the formula as a
+cross-check. The stored lengths of the members of U_k(c) are exactly
+{len(c) if the kind is reflexive} and every length from max(k, st(c)) + 1
+on, whatever the tree shape, the branching or the entries of c, so the
+evaluator's window is a set of lengths: it enumerates no suffix and never
+meets the sequence budget. Its true@bounds / false@bounds labels and their
+one-sided meaning stay as they were; an exact evaluator for rank valuations
+is ROADMAP open item 2.
 """
 
 from __future__ import annotations
@@ -54,29 +64,38 @@ DEFAULT_BOUNDS = Bounds()
 
 @dataclass
 class SymbolicValuation:
-    """Valuation of the single atom p, on the coordinates' stored tuples."""
+    """Valuation of the single atom p as a rank predicate: rank(len_a, len_b)
+    on the lengths of the coordinates' stored tuples."""
 
     name: str
-    holds: Callable[[Stored, Stored], bool]
+    rank: Callable[[int, int], bool]
+
+    def holds(self, a: Stored, b: Stored) -> bool:
+        return self.rank(len(a), len(b))
 
     def contains(self, q: ProductPoint) -> bool:
-        return self.holds(q.first.stored, q.second.stored)
+        return self.rank(len(q.first.stored), len(q.second.stored))
+
+
+def _require_zero_anchor(anchor: ProductPoint) -> None:
+    """The stabilization-rank valuations read alpha0 and beta0 as length 0."""
+    if anchor.first.stored or anchor.second.stored:
+        raise ValueError("rank valuations are defined at the all-zero anchor")
 
 
 def st_com_valuation(anchor: ProductPoint) -> SymbolicValuation:
-    beta0 = anchor.second.stored
-    return SymbolicValuation("st_com", lambda a, b: b == beta0 or len(b) >= len(a))
+    _require_zero_anchor(anchor)
+    return SymbolicValuation("st_com", lambda la, lb: lb == 0 or lb >= la)
 
 
 def st_chr_valuation(anchor: ProductPoint) -> SymbolicValuation:
-    alpha0, beta0 = anchor.first.stored, anchor.second.stored
-    return SymbolicValuation(
-        "st_chr", lambda a, b: a != alpha0 and (b == beta0 or len(b) >= len(a)))
+    _require_zero_anchor(anchor)
+    return SymbolicValuation("st_chr", lambda la, lb: la > 0 and (lb == 0 or lb >= la))
 
 
 def const_true_valuation(anchor: ProductPoint) -> SymbolicValuation:
     """Sanity control: under p = everywhere-true no consequent can fail."""
-    return SymbolicValuation("const_true", lambda a, b: True)
+    return SymbolicValuation("const_true", lambda la, lb: True)
 
 
 @dataclass
@@ -188,10 +207,11 @@ def check_com_certificate(frame1: SymbolicTreeFrame, frame2: SymbolicTreeFrame,
 
     layer = cert.layer("antecedent", outer_m=1, inner_rule="max(st(alpha'), st(beta0))")
     for ap in first_u(1):
-        inner_j = max(len(ap), len(cert.anchor.second.stored)) + 1
+        la = len(ap)
+        inner_j = max(la, len(cert.anchor.second.stored)) + 1
         for bp in second_u(inner_j):
             layer["checked"] += 1
-            if not val.holds(ap, bp):
+            if not val.rank(la, len(bp)):
                 return cert.reject({"layer": "antecedent",
                                     "witness": point_json(ap, bp),
                                     "inner_j": inner_j})
@@ -212,7 +232,7 @@ def check_com_certificate(frame1: SymbolicTreeFrame, frame2: SymbolicTreeFrame,
                 return cert.reject({"layer": "consequent", "m": m, "k": k,
                                     "reason": "alpha witness not in U_k(alpha0)",
                                     "alpha": list(alpha)})
-            if val.holds(alpha, beta):
+            if val.rank(len(alpha), len(beta)):
                 return cert.reject({"layer": "consequent", "m": m, "k": k,
                                     "reason": "p not falsified",
                                     "witness": point_json(alpha, beta)})
@@ -246,11 +266,12 @@ def check_chr_certificate(frame1: SymbolicTreeFrame, frame2: SymbolicTreeFrame,
             return cert.reject({"layer": "antecedent", "m": m,
                                 "reason": "alpha witness not a fresh member of U_m(alpha0)",
                                 "alpha": list(alpha)})
-        inner_j = len(alpha) + 1
+        la = len(alpha)
+        inner_j = la + 1
         row = second_u(inner_j)
         for bp in row:
             layer["checked"] += 1
-            if not val.holds(alpha, bp):
+            if not val.rank(la, len(bp)):
                 return cert.reject({"layer": "antecedent", "m": m,
                                     "reason": "p fails inside the inner base set",
                                     "witness": point_json(alpha, bp)})
@@ -265,11 +286,12 @@ def check_chr_certificate(frame1: SymbolicTreeFrame, frame2: SymbolicTreeFrame,
             return cert.reject({"layer": "consequent", "j": j,
                                 "reason": "beta witness not in U_j(beta0)",
                                 "beta": list(beta)})
-        k_star = max(bounds.k_max, len(beta) + 1)
+        lb = len(beta)
+        k_star = max(bounds.k_max, lb + 1)
         row = first_u(k_star)
         for ap in row:
             layer["checked"] += 1
-            if val.holds(ap, beta):
+            if val.rank(len(ap), lb):
                 return cert.reject({"layer": "consequent", "j": j, "k_star": k_star,
                                     "reason": "p not falsified",
                                     "witness": point_json(ap, beta)})
@@ -303,10 +325,17 @@ def eval_bounded(frame1: SymbolicTreeFrame, frame2: SymbolicTreeFrame,
     when the deepest inspected one is. Each box is therefore checked at a
     single index, cap = max(m_max, st of both coordinates); the escalation
     past m_max lets honest evidence at deep points surface (their own
-    neighborhoods only shrink from st onward). Members are enumerated
-    relative to the point: the fixed prefix up to cap, then every canonical
-    suffix of length <= d_enum, filtered by the frame relation. Relative
-    windows never degenerate, and every enumerated member is a real one.
+    neighborhoods only shrink from st onward).
+
+    The window is a set of lengths. The members relative to a point are its
+    prefix up to cap followed by a canonical suffix of length <= d_enum,
+    kept when in the frame relation, and the point itself on a reflexive
+    kind. Their lengths are exactly the point's own (reflexive kinds) and
+    cap + 1 .. cap + d_enum, since each prefix + 0...0x is a member of
+    every kind. The valuation reads lengths only, so the truth value at a
+    point depends only on the two lengths, and the recursion is memoised on
+    (node, len a, len b) without enumerating any suffix: it never meets the
+    sequence budget, whatever d_enum.
 
     One-sided by design: a false box rests on a real falsifying member, so
     falsity is sound; a true box only says the window holds no falsifier.
@@ -318,26 +347,26 @@ def eval_bounded(frame1: SymbolicTreeFrame, frame2: SymbolicTreeFrame,
         raise ValueError("eval_bounded supports the single atom p")
     frames = (frame1, frame2)
     _require_matching(frames, point)
-    suffixes = [_enumerate_stored(frame.branching, bounds.d_enum)[1:] for frame in frames]
+    reflexive = [frame.kind.reflexive for frame in frames]
+
+    def lengths(i: int, own: int, cap: int) -> range | tuple[int, ...]:
+        deeper = range(cap + 1, cap + bounds.d_enum + 1)
+        return (own, *deeper) if reflexive[i] else deeper
 
     @functools.cache
-    def members(i: int, center: Stored, cap: int) -> list[Stored]:
-        return relative_members(frames[i].kind, center, cap, suffixes[i])
-
-    @functools.cache
-    def ev(k: int, a: Stored, b: Stored) -> bool:
+    def ev(k: int, la: int, lb: int) -> bool:
         op, x, y = nodes[k]
         if op == OP_BOTTOM:
             return False
         if op == OP_ATOM:
-            return valuation.holds(a, b)
+            return valuation.rank(la, lb)
         if op == OP_IMPLIES:
-            return (not ev(x, a, b)) or ev(y, a, b)
-        cap = max(bounds.m_max, len(a) + 1, len(b) + 1)
+            return (not ev(x, la, lb)) or ev(y, la, lb)
+        cap = max(bounds.m_max, la + 1, lb + 1)
         if x == 1:
-            return all(ev(y, c, b) for c in members(0, a, cap))
-        return all(ev(y, a, c) for c in members(1, b, cap))
+            return all(ev(y, c, lb) for c in lengths(0, la, cap))
+        return all(ev(y, la, c) for c in lengths(1, lb, cap))
 
-    value = ev(len(nodes) - 1, point.first.stored, point.second.stored)
+    value = ev(len(nodes) - 1, len(point.first.stored), len(point.second.stored))
     ev.cache_clear()  # ev refers to itself: its memo would wait for the cycle collector
     return BoundedResult(value, bounds)

@@ -105,21 +105,33 @@ def compile_formulas(phis: Iterable[Formula]) -> tuple[list[Node], list[int]]:
     each shared subformula once for the whole family.
     """
     position: dict[Node, int] = {}  # insertion order is post-order
+    # id -> position: a subformula object shared by several parents is walked
+    # once, so the walk is linear in the DAG of each phi, not in its tree
+    visited: dict[int, int] = {}
 
     def visit(f: Formula) -> int:
-        if isinstance(f, Implies):
-            node: Node = (OP_IMPLIES, visit(f.left), visit(f.right))
-        elif isinstance(f, Box):
-            node = (OP_BOX, f.index, visit(f.body))
-        elif isinstance(f, Atom):
-            node = (OP_ATOM, f.name, None)
-        elif isinstance(f, Bottom):
-            node = (OP_BOTTOM, None, None)
-        else:
-            raise TypeError(f"not a formula: {f!r}")
-        return position.setdefault(node, len(position))
+        key = id(f)
+        index = visited.get(key)
+        if index is None:
+            if isinstance(f, Implies):
+                node: Node = (OP_IMPLIES, visit(f.left), visit(f.right))
+            elif isinstance(f, Box):
+                node = (OP_BOX, f.index, visit(f.body))
+            elif isinstance(f, Atom):
+                node = (OP_ATOM, f.name, None)
+            elif isinstance(f, Bottom):
+                node = (OP_BOTTOM, None, None)
+            else:
+                raise TypeError(f"not a formula: {f!r}")
+            index = visited[key] = position.setdefault(node, len(position))
+        return index
 
-    roots = [visit(phi) for phi in phis]
+    roots: list[int] = []
+    for phi in phis:
+        roots.append(visit(phi))
+        # an id is only stable while its object lives, and phis may be a
+        # generator that drops each phi once it is compiled
+        visited.clear()
     return list(position), roots
 
 

@@ -32,6 +32,10 @@ class FrameKind(Enum):
     def transitive(self) -> bool:
         return self in (FrameKind.IT, FrameKind.RT)
 
+    @property
+    def reflexive(self) -> bool:
+        return self in (FrameKind.RN, FrameKind.RT)
+
 
 @dataclass(frozen=True)
 class Word:
@@ -133,7 +137,7 @@ def tree_successors(kind: FrameKind, u: tuple[int, ...],
     room = len(layers) - 1 - len(u)
     if room < 0:
         return
-    if kind in (FrameKind.RN, FrameKind.RT):
+    if kind.reflexive:
         yield u
     for n in range(1, (room if kind.transitive else min(room, 1)) + 1):
         for tail in layers[n]:

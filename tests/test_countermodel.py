@@ -12,10 +12,10 @@ import json
 
 import pytest
 
-from nbhdprod.countermodel import (Bounds, Certificate, check_chr_certificate,
-                                   check_com_certificate, const_true_valuation,
-                                   eval_bounded, st_chr_valuation,
-                                   st_com_valuation)
+from nbhdprod.countermodel import (Bounds, Certificate, SymbolicValuation,
+                                   check_chr_certificate, check_com_certificate,
+                                   const_true_valuation, eval_bounded,
+                                   st_chr_valuation, st_com_valuation)
 from nbhdprod.formula import (OP_ATOM, OP_BOTTOM, OP_IMPLIES, compile_formula,
                               generate_formulas, parse)
 from nbhdprod.kripke import FrameKind, SymbolicTreeFrame
@@ -401,6 +401,49 @@ def test_eval_bounded_matches_reference():
     assert checked == 1920
 
 
+def _probe_valuation(anchor):
+    """A rank valuation with no order in it, so that a window shifted by one
+    length changes some truth value (the three above only compare lengths)."""
+    return SymbolicValuation("probe", lambda la, lb: (la * la + 3 * lb) % 5 != 2)
+
+
+# The settings of test_eval_bounded_matches_reference_at_wide_bounds: (branching,
+# bounds, kinds of the diagonal pairs, formulas, valuations). The reference
+# walks every pair of members, so Com on a transitive pair at b3 (10,10,5)
+# visits about 1024^2 points (6-14 s each); those pairs take (10,10,5) at b2.
+DEPTH_TWO = [parse(text) for text in
+             ("[1][2] p", "[2]<1> p", "<1>[2] p -> [1] p", "[2]([1] p -> p)")]
+VALUATIONS = (st_com_valuation, st_chr_valuation, const_true_valuation)
+WIDE_SETTINGS = [
+    (3, Bounds(1, 1, 1), tuple(FrameKind), [COM, CHR, *DEPTH_TWO],
+     (*VALUATIONS, _probe_valuation)),
+    (3, Bounds(10, 10, 5), tuple(FrameKind), [CHR], (*VALUATIONS, _probe_valuation)),
+    (3, Bounds(10, 10, 5), (FrameKind.IN, FrameKind.RN), [COM], VALUATIONS),
+    (3, Bounds(10, 10, 5), (FrameKind.IN, FrameKind.RN), DEPTH_TWO,
+     (st_com_valuation,)),
+    (2, Bounds(10, 10, 5), (FrameKind.IT, FrameKind.RT), [COM],
+     (st_com_valuation, st_chr_valuation)),
+]
+
+
+def test_eval_bounded_matches_reference_at_wide_bounds():
+    """The evaluator on lengths gives the PseudoSeq evaluator's labels at the
+    anchor on the diagonal kind pairs, at branching 3 and the bounds 1,1,1
+    and 10,10,5, under the three valuations and a probe that reads exact
+    lengths (Com on transitive pairs at b2, see above)."""
+    checked = 0
+    for b, bounds, kinds, formulas, valuations in WIDE_SETTINGS:
+        anchor = ProductPoint(zero_seq(b), zero_seq(b))
+        for kind, phi, make in itertools.product(kinds, formulas, valuations):
+            frame = SymbolicTreeFrame(kind, b)
+            val = make(anchor)
+            want = reference_eval_bounded(frame, frame, phi, anchor, val, bounds)
+            got = eval_bounded(frame, frame, phi, anchor, val, bounds)
+            assert got.value is want, (kind, b, bounds, val.name, phi)
+            checked += 1
+    assert checked == 96 + 16 + 6 + 8 + 4
+
+
 def test_eval_rejects_mismatched_points():
     """One check at entry, with the messages u_contains gives."""
     val = st_com_valuation(ANCHOR)
@@ -441,6 +484,18 @@ def test_valuations_match_their_pseudoseq_definitions():
             for x, y in itertools.product(window, window):
                 assert val.holds(x.stored, y.stored) == \
                     definitions[val.name](ProductPoint(x, y)), (val.name, x, y)
+
+
+def test_rank_valuations_refuse_a_nonzero_anchor():
+    """st_com and st_chr read alpha0 and beta0 as length 0, so they exist
+    only at the all-zero anchor; const_true reads nothing."""
+    for b in (1, 2):
+        for first, second in (((1,), ()), ((), (0, 1)), ((b,), (b,))):
+            anchor = ProductPoint(pseudo(first, b), pseudo(second, b))
+            for make in (st_com_valuation, st_chr_valuation):
+                with pytest.raises(ValueError, match="all-zero anchor"):
+                    make(anchor)
+            assert const_true_valuation(anchor).rank(3, 0)
 
 
 def test_valuation_pins():

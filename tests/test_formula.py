@@ -1,12 +1,15 @@
 """Formula core: parsing, printing, schemes, generation."""
 
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
 from nbhdprod.formula import (OP_ATOM, OP_BOTTOM, OP_BOX, OP_IMPLIES, Atom,
                               AxiomScheme, BOT, Bottom, Box, Implies, LOGICS,
                               MAX_NESTING, ParseError, and_, atom, atoms,
-                              axiom_instance, box, compile_formula, diamond,
+                              axiom_instance, box, compile_formula,
+                              compile_formulas, diamond,
                               fusion_axioms, generate_formulas, implies,
                               modal_depth, not_, or_, parse, top, unparse)
 from nbhdprod.report import BudgetExceeded
@@ -88,6 +91,53 @@ def test_compile_formula_lists_each_subformula_once_root_last():
             assert all(c < k for c in children)
     with pytest.raises(TypeError, match="not a formula: 'q'"):
         compile_formula(implies(atom("p"), "q"))
+
+
+def _tree_walk_compile(phis):
+    """compile_formulas as a walk over the formula tree, which visits a
+    shared subformula object once per occurrence."""
+    position = {}
+
+    def visit(f):
+        if isinstance(f, Implies):
+            node = (OP_IMPLIES, visit(f.left), visit(f.right))
+        elif isinstance(f, Box):
+            node = (OP_BOX, f.index, visit(f.body))
+        elif isinstance(f, Atom):
+            node = (OP_ATOM, f.name, None)
+        else:
+            node = (OP_BOTTOM, None, None)
+        return position.setdefault(node, len(position))
+
+    roots = [visit(phi) for phi in phis]
+    return list(position), roots
+
+
+def test_compile_matches_tree_walk():
+    """The same nodes and roots as the tree walk: each formula of the
+    depth-2 family alone, the family at once, and a generator of fresh
+    objects that are freed as soon as they are compiled, so that their ids
+    are reused."""
+    family = list(generate_formulas(2, ("p",)))
+    assert len(family) == 1514
+    for phi in family:
+        assert compile_formula(phi) == _tree_walk_compile([phi])[0], phi
+    want = _tree_walk_compile(family)
+    assert compile_formulas(family) == want
+    assert compile_formulas(parse(unparse(phi)) for phi in family) == want
+
+
+def test_compile_shared_chain_is_linear():
+    """A chain of implies(f, f) 20 levels deep has 21 distinct nodes and
+    about a million tree occurrences; the walk visits each object once."""
+    phi = atom("p")
+    for _ in range(20):
+        phi = Implies(phi, phi)
+    start = time.perf_counter()
+    nodes = compile_formula(phi)
+    elapsed = time.perf_counter() - start
+    assert len(nodes) == 21
+    assert elapsed < 0.05, elapsed
 
 
 def test_modal_depth():

@@ -15,10 +15,10 @@ from nbhdprod.kripke import (FrameKind, SymbolicTreeFrame,
                              enumerate_tagged_words, enumerate_words,
                              tagged_word, word, word_rel)
 from nbhdprod.omega import (MembershipTable, ProductPoint, PseudoSeq,
-                            axiom_evidence, check_chain, enumerate_pseudo,
-                            forget_zeros, g_map, g_preimage, lex_between,
-                            lex_compare, lex_window_compare, lift, prefix,
-                            product_u_contains, pseudo, relative_members,
+                            _enumerate_stored, axiom_evidence, check_chain,
+                            enumerate_pseudo, forget_zeros, g_map, g_preimage,
+                            lex_between, lex_compare, lex_window_compare, lift,
+                            prefix, product_u_contains, pseudo, relative_members,
                             strict_bounds_witnesses, u_contains,
                             verify_ff_morphism, verify_g_morphism, zero_seq)
 from nbhdprod.report import BudgetExceeded
@@ -162,6 +162,25 @@ def test_clipped_relative_window_is_the_absolute_row():
             assert clipped == suffixes[:(b + 1) ** max(fit, 0) - 1], (b, d, k)
             assert relative_members(kind, (), k, clipped) == \
                 [window[i] for i in table.members((), k)], (kind, b, d, k)
+
+
+def test_relative_member_lengths():
+    """The length lemma the bounded evaluator rests on: the members of
+    U_k(c) in c's relative window have exactly the lengths
+    {len(c) if the kind is reflexive} and h + 1 .. h + d, where
+    h = max(k, st(c)) and d bounds the suffixes, whatever the kind, the
+    branching and the entries of c."""
+    for kind, b in itertools.product(FrameKind, (1, 2, 3)):
+        centers = _enumerate_stored(b, 2 if b == 3 else 3)
+        for d in range(1, 5):
+            suffixes = _enumerate_stored(b, d)[1:]
+            for center, k in itertools.product(centers, range(7)):
+                h = max(k, len(center) + 1)
+                want = set(range(h + 1, h + d + 1))
+                if kind.reflexive:
+                    want.add(len(center))
+                got = {len(c) for c in relative_members(kind, center, k, suffixes)}
+                assert got == want, (kind, b, d, center, k)
 
 
 # --- chain lemma ---------------------------------------------------------------------
