@@ -150,6 +150,10 @@ def check_fractal(frame: SymbolicTreeFrame, depth: int, *,
 
     lhs_kind evaluates the left-hand relation with a different kind; that is a
     detector self-test (mixing kinds must produce a violation), not a lemma.
+
+    The right-hand side () R c is decided once per c and shared by every a;
+    the pairs are checked in the same all-pairs order, so checked and the
+    first violation are those of the loop that decides both sides per pair.
     """
     left = frame.kind if lhs_kind is None else lhs_kind
     with VerificationReport(
@@ -159,14 +163,18 @@ def check_fractal(frame: SymbolicTreeFrame, depth: int, *,
         layers = word_layers(frame.branching, depth)
         # the c with len(a) + len(c) <= depth are the first layers of the
         # shortlex window, so the checks come in all-pairs order
-        for a in itertools.chain.from_iterable(layers):
-            for c in itertools.chain.from_iterable(layers[:depth - len(a) + 1]):
-                lhs = _rel_on_tuples(left, a, a + c)
-                rhs = _rel_on_tuples(frame.kind, (), c)
-                report.checked += 1
-                if lhs != rhs:
-                    return report.fail({"a": list(a), "c": list(c),
-                                        "lhs": lhs, "rhs": rhs})
+        window = list(itertools.chain.from_iterable(layers))
+        rhs = [_rel_on_tuples(frame.kind, (), c) for c in window]
+        upto = [0, *itertools.accumulate(len(layer) for layer in layers)]
+        for a in window:
+            n = upto[max(depth - len(a) + 1, 0)]
+            lhs = [_rel_on_tuples(left, a, a + c) for c in window[:n]]
+            if lhs != rhs[:n]:
+                j = next(j for j, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
+                report.checked += j + 1
+                return report.fail({"a": list(a), "c": list(window[j]),
+                                    "lhs": lhs[j], "rhs": rhs[j]})
+            report.checked += n
     return report
 
 
@@ -200,11 +208,20 @@ def tagged_word(letters: Iterable[tuple[int, int]], b1: int, b2: int) -> TaggedW
 
 def enumerate_tagged_words(b1: int, b2: int, depth: int, *,
                            budget: int = DEFAULT_WORD_BUDGET) -> list[TaggedWord]:
+    """All tagged words of length <= depth in shortlex order, side 1's
+    letters before side 2's."""
+    return [TaggedWord(t, (b1, b2))
+            for layer in tagged_word_layers(b1, b2, depth, budget=budget)
+            for t in layer]
+
+
+def tagged_word_layers(b1: int, b2: int, depth: int, *,
+                       budget: int = DEFAULT_WORD_BUDGET
+                       ) -> list[list[tuple[tuple[int, int], ...]]]:
+    """The letter tuples of enumerate_tagged_words, one list per length."""
     letters = ((side, x) for side, b in ((1, b1), (2, b2)) for x in range(1, b + 1))
     what = f"tagged words of length <= {depth} at branchings {b1} and {b2}"
-    return [TaggedWord(t, (b1, b2))
-            for layer in _shortlex(letters, b1 + b2, depth, budget, what)
-            for t in layer]
+    return _shortlex(letters, b1 + b2, depth, budget, what)
 
 
 def fusion_word_rel(frame1: SymbolicTreeFrame, frame2: SymbolicTreeFrame,

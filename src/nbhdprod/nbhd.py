@@ -437,11 +437,3 @@ def check_truth_preservation(f: Mapping[str, str], source: FiniteNFrame,
                 if values_source[r][k] != values_target[r][slot[f[x]]]:
                     return report.fail({"formula": unparse(phi), "x": x, "fx": f[x]})
     return report
-
-
-def morphism_to_dict(f: Mapping[str, str]) -> dict[str, Any]:
-    return {"map": dict(sorted(f.items()))}
-
-
-def morphism_from_dict(data: Mapping[str, Any]) -> dict[str, str]:
-    return dict(data["map"])

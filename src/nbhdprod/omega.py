@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Sequence
 
 from .kripke import (FrameKind, SymbolicTreeFrame, TaggedWord, Word,
-                     _fusion_rel_on_tuples, _rel_on_tuples,
-                     enumerate_tagged_words, tree_successors, word_layers)
+                     _fusion_rel_on_tuples, _rel_on_tuples, tagged_word_layers,
+                     tree_successors, word_layers)
 from .report import VerificationReport, check_window
 
 DEFAULT_SEQ_BUDGET = 2_000_000
@@ -216,6 +216,16 @@ class MembershipTable:
         return mask
 
 
+def _index_blocks(st: int, k_max: int) -> list[tuple[int, int]]:
+    """The indices k = 0..k_max in blocks that share m = max(k, st): each
+    block as (its least k, how many k it covers). k = 0..min(st, k_max)
+    form the first block, every larger k a block of its own."""
+    if k_max < 0:
+        return []
+    top = min(st, k_max)
+    return [(0, top + 1), *((k, 1) for k in range(top + 1, k_max + 1))]
+
+
 # --- chain lemma -----------------------------------------------------------------
 
 def check_chain(frame: SymbolicTreeFrame, d: int, k_max: int, *,
@@ -225,6 +235,12 @@ def check_chain(frame: SymbolicTreeFrame, d: int, k_max: int, *,
 
     reverse_inclusion checks U_m subset-of U_k instead; that direction is
     false and serves as a detector self-test.
+
+    U_k(alpha) depends on k only through max(k, st(alpha)), so the indices
+    fall into blocks (_index_blocks). Pairs inside one block compare a set
+    with itself and hold; every other pair of blocks is decided once, at
+    the least index of each, and counted by its multiplicity. checked and
+    the first failing (m, k) are those of the loop over every pair.
     """
     with VerificationReport(
             lemma="chain",
@@ -233,17 +249,23 @@ def check_chain(frame: SymbolicTreeFrame, d: int, k_max: int, *,
         window = _enumerate_stored(frame.branching, d)
         table = MembershipTable(frame.kind, window)
         for a_stored in window:
-            masks = [table.mask(a_stored, k) for k in range(k_max + 1)]
-            for m in range(k_max + 1):
-                for k in range(m, k_max + 1):
-                    report.checked += 1
-                    small, large = (masks[m], masks[k]) if reverse_inclusion \
-                        else (masks[k], masks[m])
+            blocks = _index_blocks(len(a_stored) + 1, k_max)
+            masks = [table.mask(a_stored, k) for k, _ in blocks]
+            for x, (m, size) in enumerate(blocks):
+                for y in range(x + 1, len(blocks)):
+                    small, large = (masks[x], masks[y]) if reverse_inclusion \
+                        else (masks[y], masks[x])
                     stray = small & ~large
                     if stray:
+                        # every row of block x fails here; its first row,
+                        # m, meets the least k of block y first
+                        k = blocks[y][0]
+                        report.checked += k - m + 1
                         bi = stray.bit_length() - 1
                         return report.fail({"alpha": list(a_stored), "m": m, "k": k,
                                             "beta": list(window[bi])})
+                # rows m .. m + size - 1 pass, row r holding the pairs (r, r..k_max)
+                report.checked += size * (k_max + 1 - m) - size * (size - 1) // 2
     return report
 
 
@@ -276,39 +298,38 @@ def verify_ff_morphism(frame: SymbolicTreeFrame, d: int) -> VerificationReport:
         kind = frame.kind
         window = _enumerate_stored(frame.branching, d)
         table = MembershipTable(kind, window)
+        words = table.words
         # R-successors inside the window, per zero-forgotten anchor
         successors: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for a_stored, a_fw in zip(window, table.words):
+        for a_stored, a_fw in zip(window, words):
             targets = successors.get(a_fw)
             if targets is None:
                 targets = list(tree_successors(kind, a_fw, layers))
                 successors[a_fw] = targets
-            # the obligations at k depend on k only through m = max(k, st(alpha)),
-            # so k = 0..top share one block: decide it at k = 0 and count the
-            # other top values of k in bulk
-            top = min(len(a_stored) + 1, d)
-            for k in (0, *range(top + 1, d + 1)):
+            # the obligations at k depend on k only through m = max(k, st(alpha)):
+            # decide each block of k at its least k and count the rest in bulk
+            for k, size in _index_blocks(len(a_stored) + 1, d):
                 members = table.members(a_stored, k)
-                for bi in members:
-                    report.count("forward")
-                    if not _rel_on_tuples(kind, a_fw, table.words[bi]):
+                for n, bi in enumerate(members):
+                    if not _rel_on_tuples(kind, a_fw, words[bi]):
+                        report.count("forward", n + 1)
                         return report.fail({"layer": "forward",
                                             "alpha": list(a_stored), "k": k,
                                             "beta": list(window[bi])})
+                report.count("forward", len(members))
                 head = _prefix_tuple(a_stored, max(k, len(a_stored) + 1))
-                for target in targets:
-                    report.count("covering")
+                for n, target in enumerate(targets):
                     beta = _canon(head + target[len(a_fw):])
                     beta_fw = _fw(beta)
                     if not (_u_fast(kind, a_stored, a_fw, beta, beta_fw, k)
                             and beta_fw == target):
+                        report.count("covering", n + 1)
                         return report.fail({"layer": "covering",
                                             "alpha": list(a_stored), "k": k,
                                             "target": list(target),
                                             "witness": list(beta)})
-                if k == 0:
-                    report.count("forward", top * len(members))
-                    report.count("covering", top * len(targets))
+                report.count("forward", (size - 1) * len(members))
+                report.count("covering", size * len(targets))
     return report
 
 
@@ -329,6 +350,11 @@ def axiom_evidence(frame: SymbolicTreeFrame, d: int,
     four  members of U_{max(k, st(y))}(y) for y in U_m(alpha) stay inside
           U_m(alpha) (transitive kinds), with k pinned at the index that the
           prefix constraint actually requires.
+
+    Every layer depends on its index (k, or m for four) only through
+    max(index, st(alpha)), so each block of _index_blocks is decided once,
+    at its least index, and the rest of the block counted in bulk. checked
+    and the first counterexample are those of the loop over every index.
     """
     if evidence is None:
         kinds = [name for name, ks in _EVIDENCE_KINDS.items() if frame.kind in ks]
@@ -347,37 +373,40 @@ def axiom_evidence(frame: SymbolicTreeFrame, d: int,
         table = MembershipTable(frame.kind, window)
         if "d" in kinds:
             for a_stored, a_fw in zip(window, table.words):
-                for k in range(d + 1):
-                    report.checked += 1
-                    m = max(k, len(a_stored) + 1)
-                    wit = _prefix_tuple(a_stored, m) + (1,)
+                for k, size in _index_blocks(len(a_stored) + 1, d):
+                    wit = _prefix_tuple(a_stored, max(k, len(a_stored) + 1)) + (1,)
                     if not _u_fast(frame.kind, a_stored, a_fw, wit, _fw(wit), k):
+                        report.checked += 1
                         return report.fail({"evidence": "d", "alpha": list(a_stored),
                                             "k": k, "witness": list(wit)})
+                    report.checked += size
         if "t" in kinds:
             for a_stored, a_fw in zip(window, table.words):
-                for k in range(d + 1):
-                    report.checked += 1
+                for k, size in _index_blocks(len(a_stored) + 1, d):
                     if not _u_fast(frame.kind, a_stored, a_fw, a_stored, a_fw, k):
+                        report.checked += 1
                         return report.fail({"evidence": "t", "alpha": list(a_stored),
                                             "k": k})
+                    report.checked += size
         if "four" in kinds:
             for a_stored in window:
-                for m in range(d + 1):
+                for m, size in _index_blocks(len(a_stored) + 1, d):
                     big_m = max(m, len(a_stored) + 1)
                     members = table.mask(a_stored, m)
+                    ys = table.members(a_stored, m)
                     # highest window index first
-                    for yi in reversed(table.members(a_stored, m)):
+                    for n, yi in enumerate(reversed(ys)):
                         y_stored = window[yi]
-                        report.checked += 1
                         stray = table.mask(y_stored, max(big_m, len(y_stored) + 1)) \
                             & ~members
                         if stray:
+                            report.checked += n + 1
                             bi = stray.bit_length() - 1
                             return report.fail({"evidence": "four",
                                                 "alpha": list(a_stored), "m": m,
                                                 "y": list(y_stored),
                                                 "z": list(window[bi])})
+                    report.checked += size * len(ys)
     return report
 
 
@@ -453,11 +482,17 @@ def verify_g_morphism(frame1: SymbolicTreeFrame, frame2: SymbolicTreeFrame,
             params={"kind1": frame1.kind.value, "kind2": frame2.kind.value,
                     "branching1": b1, "branching2": b2, "d": d,
                     "layers": dict.fromkeys(_MORPHISM_LAYERS, 0)}) as report:
-        for z in enumerate_tagged_words(b1, b2, d, budget=DEFAULT_SEQ_BUDGET):
-            report.count("surjectivity")
-            if g_map(g_preimage(z)) != z:
+        # g(g_preimage(z)) == z on the raw letter tuples of each tagged word
+        tagged = list(itertools.chain.from_iterable(
+            tagged_word_layers(b1, b2, d, budget=DEFAULT_SEQ_BUDGET)))
+        for n, z in enumerate(tagged):
+            first = _canon(tuple(x if side == 1 else 0 for side, x in z))
+            second = _canon(tuple(x if side == 2 else 0 for side, x in z))
+            if _interleave(first, second) != z:
+                report.count("surjectivity", n + 1)
                 return report.fail({"layer": "surjectivity",
-                                    "tagged": [list(t) for t in z.letters]})
+                                    "tagged": [list(t) for t in z]})
+        report.count("surjectivity", len(tagged))
         kinds = {1: frame1.kind, 2: frame2.kind}
         tables = {1: MembershipTable(frame1.kind, _enumerate_stored(b1, d)),
                   2: MembershipTable(frame2.kind, _enumerate_stored(b2, d))}
@@ -530,14 +565,16 @@ def verify_g_morphism(frame1: SymbolicTreeFrame, frame2: SymbolicTreeFrame,
                     for i in (1, 2):
                         kind, table = kinds[i], tables[i]
                         anchor = alpha if i == 1 else beta
-                        for bi in table.members(anchor, m):
+                        members = table.members(anchor, m)
+                        for n, bi in enumerate(members):
                             q = moved(i, table.window[bi], alpha, beta)
-                            report.count("forward")
                             if not _fusion_rel_on_tuples(kind, i, image, g_of(*q)):
+                                report.count("forward", n + 1)
                                 return report.fail({
                                     "layer": "forward", "modality": i, "m": m,
                                     "point": point(alpha, beta),
                                     "member": point(*q)})
+                        report.count("forward", len(members))
                         # g maps position by position and the pinned
                         # coordinate is zero from m on, so every witness
                         # head + c maps to g(head, pinned) + g(c): when the

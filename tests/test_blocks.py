@@ -1,21 +1,28 @@
 """Block-decided window checks against the per-obligation loops they replace.
 
 verify_g_morphism decides the covering witnesses of one (point, m, side) as
-a block, verify_ff_morphism decides the obligations of every k that shares
-m = max(k, st(alpha)) once, and the lex suite runs all its centers on one
-shared window. The loops kept here are the code those replaced: each
-covering witness mapped whole, every k on its own, and a fresh window per
-center. Reports must be identical, counts and first counterexample
-included, on the plain windows and under injected faults.
+a block and checks surjectivity on raw letter tuples; verify_ff_morphism,
+check_chain and axiom_evidence decide the obligations of every index that
+shares m = max(k, st(alpha)) once; check_fractal decides () R c once per c;
+and the lex suite runs all its centers on one shared window. The loops kept
+here are the code those replaced: each covering witness mapped whole and
+surjectivity through TaggedWord, g_map and g_preimage, every k (and every
+pair m <= k) on its own, both sides of the fractal law per pair, and a
+fresh window per center. Reports must be identical, counts and first
+counterexample included, on the plain windows and under injected faults.
 
-The faults flip U_k membership (omega._u_fast) or the tree relation
-(_rel_on_tuples, in omega and in kripke) on a sparse, deterministic set of
-arguments. The _u_fast faults depend on k only through m, as U_k itself
-does; a fault that tells apart two k with the same m is outside what the
-block form promises. The g block form also rests on the interleave being
-positionwise, which test_interleave_is_positionwise checks exhaustively on
-short tuples: a g that breaks it can pass the block form where the
-whole-witness loop fails, so that test, not the verify run, catches it.
+The faults flip U_k membership (omega._u_fast), the tree relation
+(_rel_on_tuples, in omega and in kripke), whole U_k rows
+(MembershipTable.members) or the image of g (omega._interleave) on a
+sparse, deterministic set of arguments. The _u_fast and row faults depend
+on k only through m, as U_k itself does; a fault that tells apart two k
+with the same m is outside what the block form promises. The g block form
+also rests on the interleave being positionwise, which
+test_interleave_is_positionwise checks exhaustively on short tuples: a g
+that breaks it can pass the block form where the whole-witness loop fails,
+so that test, not the verify run, catches it. The surjectivity layer maps
+every tagged word whole, so it fails where the reference does under any
+interleave fault.
 """
 
 import itertools
@@ -25,12 +32,12 @@ import pytest
 from nbhdprod import kripke, omega
 from nbhdprod.cli import _lex_suite
 from nbhdprod.countermodel import Bounds
-from nbhdprod.kripke import (FrameKind, SymbolicTreeFrame, Word,
+from nbhdprod.kripke import (FrameKind, SymbolicTreeFrame, Word, check_fractal,
                              enumerate_tagged_words, tree_successors,
                              word_layers)
-from nbhdprod.omega import (_interleave, forget_zeros, g_map, g_preimage, lift,
-                            pseudo, verify_ff_morphism, verify_g_morphism,
-                            zero_seq)
+from nbhdprod.omega import (_interleave, axiom_evidence, check_chain, forget_zeros,
+                            g_map, g_preimage, lift, pseudo, verify_ff_morphism,
+                            verify_g_morphism, zero_seq)
 from nbhdprod.report import VerificationReport
 
 KINDS = tuple(FrameKind)
@@ -133,6 +140,89 @@ def reference_ff_morphism(frame, d):
     return report
 
 
+def reference_chain(frame, d, k_max, *, reverse_inclusion=False):
+    """check_chain with every pair m <= k decided on its own."""
+    report = VerificationReport(
+        lemma="chain",
+        params={"kind": frame.kind.value, "branching": frame.branching, "d": d,
+                "k_max": k_max, "reverse_inclusion": reverse_inclusion})
+    window = omega._enumerate_stored(frame.branching, d, False, omega.DEFAULT_SEQ_BUDGET)
+    table = omega.MembershipTable(frame.kind, window)
+    for a_stored in window:
+        masks = [table.mask(a_stored, k) for k in range(k_max + 1)]
+        for m in range(k_max + 1):
+            for k in range(m, k_max + 1):
+                report.checked += 1
+                small, large = (masks[m], masks[k]) if reverse_inclusion \
+                    else (masks[k], masks[m])
+                stray = small & ~large
+                if stray:
+                    bi = stray.bit_length() - 1
+                    return report.fail({"alpha": list(a_stored), "m": m, "k": k,
+                                        "beta": list(window[bi])})
+    return report
+
+
+def reference_axiom_evidence(frame, d):
+    """axiom_evidence with every index k (m for four) decided on its own."""
+    kind = frame.kind
+    kinds = [name for name, ks in omega._EVIDENCE_KINDS.items() if kind in ks]
+    report = VerificationReport(
+        lemma="axiom-evidence",
+        params={"kind": kind.value, "branching": frame.branching, "d": d,
+                "evidence": kinds})
+    window = omega._enumerate_stored(frame.branching, d, False, omega.DEFAULT_SEQ_BUDGET)
+    table = omega.MembershipTable(kind, window)
+    if "d" in kinds:
+        for a_stored, a_fw in zip(window, table.words):
+            for k in range(d + 1):
+                report.checked += 1
+                wit = omega._prefix_tuple(a_stored, max(k, len(a_stored) + 1)) + (1,)
+                if not omega._u_fast(kind, a_stored, a_fw, wit, omega._fw(wit), k):
+                    return report.fail({"evidence": "d", "alpha": list(a_stored),
+                                        "k": k, "witness": list(wit)})
+    if "t" in kinds:
+        for a_stored, a_fw in zip(window, table.words):
+            for k in range(d + 1):
+                report.checked += 1
+                if not omega._u_fast(kind, a_stored, a_fw, a_stored, a_fw, k):
+                    return report.fail({"evidence": "t", "alpha": list(a_stored),
+                                        "k": k})
+    if "four" in kinds:
+        for a_stored in window:
+            for m in range(d + 1):
+                big_m = max(m, len(a_stored) + 1)
+                members = table.mask(a_stored, m)
+                for yi in reversed(table.members(a_stored, m)):
+                    y_stored = window[yi]
+                    report.checked += 1
+                    stray = table.mask(y_stored, max(big_m, len(y_stored) + 1)) & ~members
+                    if stray:
+                        bi = stray.bit_length() - 1
+                        return report.fail({"evidence": "four", "alpha": list(a_stored),
+                                            "m": m, "y": list(y_stored),
+                                            "z": list(window[bi])})
+    return report
+
+
+def reference_fractal(frame, depth, *, lhs_kind=None):
+    """check_fractal with both sides decided for every pair (a, c)."""
+    left = frame.kind if lhs_kind is None else lhs_kind
+    report = VerificationReport(
+        lemma="fractal",
+        params={"kind": frame.kind.value, "branching": frame.branching,
+                "depth": depth, "lhs_kind": left.value})
+    layers = word_layers(frame.branching, depth)
+    for a in itertools.chain.from_iterable(layers):
+        for c in itertools.chain.from_iterable(layers[:depth - len(a) + 1]):
+            lhs = kripke._rel_on_tuples(left, a, a + c)
+            rhs = kripke._rel_on_tuples(frame.kind, (), c)
+            report.checked += 1
+            if lhs != rhs:
+                return report.fail({"a": list(a), "c": list(c), "lhs": lhs, "rhs": rhs})
+    return report
+
+
 def reference_lex_suite(frame, depth, bounds):
     """cli._lex_suite with a fresh window for every center."""
     branching = frame.branching
@@ -184,6 +274,34 @@ def test_ff_morphism_matches_per_k_loop(branching):
     for frame in _frames(branching):
         for d in range(6):
             _same(verify_ff_morphism(frame, d), reference_ff_morphism(frame, d))
+
+
+def _depths(branching):
+    return range(6 if branching < 3 else 4)
+
+
+@pytest.mark.parametrize("branching", [1, 2, 3])
+def test_chain_matches_per_pair_loop(branching):
+    for frame in _frames(branching):
+        for d, k_max, reverse in itertools.product(_depths(branching), (0, 1, 3, 8),
+                                                   (False, True)):
+            _same(check_chain(frame, d, k_max, reverse_inclusion=reverse),
+                  reference_chain(frame, d, k_max, reverse_inclusion=reverse))
+
+
+@pytest.mark.parametrize("branching", [1, 2, 3])
+def test_axiom_evidence_matches_per_index_loop(branching):
+    for frame in _frames(branching):
+        for d in _depths(branching):
+            _same(axiom_evidence(frame, d), reference_axiom_evidence(frame, d))
+
+
+@pytest.mark.parametrize("branching", [1, 2, 3])
+def test_fractal_matches_per_pair_loop(branching):
+    for frame, left in itertools.product(_frames(branching), KINDS):
+        for depth in _depths(branching):
+            _same(check_fractal(frame, depth, lhs_kind=left),
+                  reference_fractal(frame, depth, lhs_kind=left))
 
 
 @pytest.mark.parametrize("branching", [1, 2, 3])
@@ -263,6 +381,34 @@ def _flip_fused(monkeypatch, rate, salt):
     monkeypatch.setattr(kripke, "_rel_on_tuples", faulty)
 
 
+def _flip_row(monkeypatch, rate, salt):
+    """Flip window index bi in every U_k(anchor) row where the hash of
+    (anchor, bi, m) hits: the rows at different m of one anchor stop being
+    nested, which no fault of the relation or of _u_fast can do."""
+    real = omega.MembershipTable.members
+
+    def faulty(self, anchor, k):
+        m = max(k, len(anchor) + 1)
+        row = set(real(self, anchor, k))
+        row.symmetric_difference_update(
+            bi for bi in range(len(self.window))
+            if hash((salt, anchor, bi, m)) % rate == 0)
+        return sorted(row)
+
+    monkeypatch.setattr(omega.MembershipTable, "members", faulty)
+
+
+def _flip_interleave(monkeypatch, rate, salt):
+    """Drop the last letter of g's image wherever the hash of the pair hits."""
+    real = omega._interleave
+
+    def faulty(a, b):
+        out = real(a, b)
+        return out[:-1] if hash((salt, a, b)) % rate == 0 else out
+
+    monkeypatch.setattr(omega, "_interleave", faulty)
+
+
 # (injector, rate, salt) per check: each fault makes some of its runs fail,
 # dense ones at the first obligations, sparse ones deep into the window
 G_FAULTS = [(_flip_u_fast, 2, 0), (_flip_u_fast, 31, 1), (_flip_u_fast, 97, 0),
@@ -272,6 +418,9 @@ G_FAULTS = [(_flip_u_fast, 2, 0), (_flip_u_fast, 31, 1), (_flip_u_fast, 97, 0),
 FF_FAULTS = [(_flip_u_fast, 2, 0), (_flip_u_fast, 97, 1), (_flip_u_fast, 257, 1),
              (_flip_u_fast, 1009, 1), (_flip_rel, 5, 0), (_flip_rel, 31, 0),
              (_flip_rel, 97, 1), (_flip_rel, 257, 1)]
+WINDOW_FAULTS = [(_flip_u_fast, 2, 0), (_flip_u_fast, 97, 1), (_flip_rel, 5, 0),
+                 (_flip_rel, 97, 1), (_flip_rel, 257, 0), (_flip_row, 7, 0),
+                 (_flip_row, 97, 1), (_flip_row, 997, 0)]
 LEX_FAULTS = [(_flip_u_fast, 2, 0), (_flip_u_fast, 3, 1), (_flip_u_fast, 7, 1),
               (_flip_u_fast, 31, 1), (_flip_rel, 2, 0), (_flip_rel, 7, 1),
               (_flip_rel, 97, 1), (_flip_rel, 257, 0)]
@@ -306,6 +455,41 @@ def test_ff_morphism_matches_under_faults(monkeypatch, fault):
         _same(got, reference_ff_morphism(frame, d))
         failed += not got.passed
     assert failed
+
+
+@pytest.mark.parametrize("fault", WINDOW_FAULTS, ids=_fault_id)
+def test_window_lemmas_match_under_faults(monkeypatch, fault):
+    # chain in reverse and fractal with a mixed left-hand kind are controls
+    # that fail anyway; failed counts only the lemmas that pass unfaulted
+    inject, rate, salt = fault
+    inject(monkeypatch, rate, salt)
+    failed = 0
+    for frame, d in itertools.product(_frames(2), (4, 5)):
+        for k_max, reverse in itertools.product((3, 8), (False, True)):
+            got = check_chain(frame, d, k_max, reverse_inclusion=reverse)
+            _same(got, reference_chain(frame, d, k_max, reverse_inclusion=reverse))
+            failed += not (got.passed or reverse)
+        got = axiom_evidence(frame, d)
+        _same(got, reference_axiom_evidence(frame, d))
+        failed += not got.passed
+        for left in KINDS:
+            got = check_fractal(frame, d + 1, lhs_kind=left)
+            _same(got, reference_fractal(frame, d + 1, lhs_kind=left))
+            failed += not (got.passed or left is not frame.kind)
+    assert failed
+
+
+@pytest.mark.parametrize("fault", [(_flip_interleave, 5, 0), (_flip_interleave, 31, 1),
+                                   (_flip_interleave, 97, 0)],
+                         ids=_fault_id)
+def test_g_surjectivity_matches_under_faults(monkeypatch, fault):
+    inject, rate, salt = fault
+    inject(monkeypatch, rate, salt)
+    for (b1, b2), d in itertools.product(((1, 1), (2, 2), (2, 1)), (3, 4)):
+        frame1, frame2 = SymbolicTreeFrame(FrameKind.RT, b1), SymbolicTreeFrame(FrameKind.IN, b2)
+        got = verify_g_morphism(frame1, frame2, d)
+        _same(got, reference_g_morphism(frame1, frame2, d))
+        assert got.counterexample["layer"] == "surjectivity"
 
 
 @pytest.mark.parametrize("fault", LEX_FAULTS, ids=_fault_id)
