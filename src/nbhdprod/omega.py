@@ -482,17 +482,19 @@ def verify_g_morphism(frame1: SymbolicTreeFrame, frame2: SymbolicTreeFrame,
             params={"kind1": frame1.kind.value, "kind2": frame2.kind.value,
                     "branching1": b1, "branching2": b2, "d": d,
                     "layers": dict.fromkeys(_MORPHISM_LAYERS, 0)}) as report:
-        # g(g_preimage(z)) == z on the raw letter tuples of each tagged word
-        tagged = list(itertools.chain.from_iterable(
-            tagged_word_layers(b1, b2, d, budget=DEFAULT_SEQ_BUDGET)))
-        for n, z in enumerate(tagged):
+        # g(g_preimage(z)) == z on the raw letter tuples of each tagged word;
+        # the words are only referenced by the loop, so they go with it
+        checked = 0
+        for z in itertools.chain.from_iterable(
+                tagged_word_layers(b1, b2, d, budget=DEFAULT_SEQ_BUDGET)):
+            checked += 1
             first = _canon(tuple(x if side == 1 else 0 for side, x in z))
             second = _canon(tuple(x if side == 2 else 0 for side, x in z))
             if _interleave(first, second) != z:
-                report.count("surjectivity", n + 1)
+                report.count("surjectivity", checked)
                 return report.fail({"layer": "surjectivity",
                                     "tagged": [list(t) for t in z]})
-        report.count("surjectivity", len(tagged))
+        report.count("surjectivity", checked)
         kinds = {1: frame1.kind, 2: frame2.kind}
         tables = {1: MembershipTable(frame1.kind, _enumerate_stored(b1, d)),
                   2: MembershipTable(frame2.kind, _enumerate_stored(b2, d))}
