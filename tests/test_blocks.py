@@ -486,7 +486,8 @@ def test_g_surjectivity_matches_under_faults(monkeypatch, fault):
     inject, rate, salt = fault
     inject(monkeypatch, rate, salt)
     for (b1, b2), d in itertools.product(((1, 1), (2, 2), (2, 1)), (3, 4)):
-        frame1, frame2 = SymbolicTreeFrame(FrameKind.RT, b1), SymbolicTreeFrame(FrameKind.IN, b2)
+        frame1 = SymbolicTreeFrame(FrameKind.RT, b1)
+        frame2 = SymbolicTreeFrame(FrameKind.IN, b2)
         got = verify_g_morphism(frame1, frame2, d)
         _same(got, reference_g_morphism(frame1, frame2, d))
         assert got.counterexample["layer"] == "surjectivity"
