@@ -19,7 +19,7 @@ from .formula import (Atom, AxiomScheme, BOT, Bottom, Box, Formula, Implies,
                       not_, or_, parse, top, unparse)
 from .kripke import (FiniteKripkeFrame, FrameKind, SymbolicTreeFrame,
                      TaggedWord, Word, check_fractal, enumerate_tagged_words,
-                     enumerate_words, frame_props, fusion_word_rel,
+                     enumerate_words, fusion_word_rel,
                      tagged_word, word, word_rel)
 from .nbhd import (Characteristics, Counterexample, FiniteNFrame,
                    FiniteNModel, check_bounded_morphism,

@@ -70,9 +70,6 @@ class SymbolicValuation:
     name: str
     rank: Callable[[int, int], bool]
 
-    def holds(self, a: Stored, b: Stored) -> bool:
-        return self.rank(len(a), len(b))
-
     def contains(self, q: ProductPoint) -> bool:
         return self.rank(len(q.first.stored), len(q.second.stored))
 

@@ -322,25 +322,6 @@ class FiniteKripkeFrame:
         return cls(tuple(worlds), rel)
 
 
-@dataclass(frozen=True)
-class FrameProps:
-    serial: bool
-    reflexive: bool
-    transitive: bool
-
-
-def frame_props(frame: FiniteKripkeFrame) -> dict[int, FrameProps]:
-    """Seriality, reflexivity, transitivity of each relation, by full scan."""
-    out: dict[int, FrameProps] = {}
-    for i in frame.modalities:
-        succ = frame.successor_sets(i)
-        serial = all(succ[w] for w in frame.worlds)
-        reflexive = all(w in succ[w] for w in frame.worlds)
-        transitive = all(succ[v] <= succ[w] for w in frame.worlds for v in succ[w])
-        out[i] = FrameProps(serial, reflexive, transitive)
-    return out
-
-
 def node_values(frames: Sequence[FiniteKripkeFrame],
                 valuations: Sequence[Mapping[str, Iterable[str]]],
                 nodes: Sequence[Node]) -> list[int]:

@@ -163,27 +163,31 @@ def relative_members(kind: FrameKind, center: tuple[int, ...], k: int,
     thin out as k grows."""
     center_fw = _fw(center)
     head = _prefix_tuple(center, max(k, len(center) + 1))
-    # head + s ends in s's last entry, which is nonzero, so it is canonical
-    return [c for c in (center, *(head + s for s in suffixes))
-            if _u_fast(kind, center, center_fw, c, _fw(c), k)]
+    # head + s ends in s's last entry, which is nonzero, so it is canonical;
+    # every candidate agrees with center up to max(k, st), so only the tree
+    # relation decides membership
+    return [c for c in itertools.chain((center,), (head + s for s in suffixes))
+            if _rel_on_tuples(kind, center_fw, _fw(c))]
 
 
 class MembershipTable:
     """U_k membership over one enumeration window of stored tuples.
 
-    Every member of U_k(a) agrees with a up to m = max(k, st(a)), so the
-    window is bucketed once per m by the zero-padded prefix of length m; the
-    row of a at k is a's bucket filtered by the tree relation on the
-    zero-forgotten words. Anchors need not lie in the window. Buckets and
-    rows are built on first use, so a sweep that stops early pays only for
-    the anchors it reached.
+    The window must be _enumerate_stored's output: every canonical tuple up
+    to its greatest length d, in shortlex order. The row of a at k is then
+    relative_members over the window's first tuples, the suffixes of length
+    <= d - m with m = max(k, st(a)), read back as window indices; they come
+    out ascending. Anchors need not lie in the window. Rows are built on
+    first use, so a sweep that stops early pays only for the anchors it
+    reached.
     """
 
     def __init__(self, kind: FrameKind, window: Sequence[tuple[int, ...]]):
         self.kind = kind
         self.window = window
         self.words = [_fw(stored) for stored in window]
-        self._buckets: dict[int, dict[tuple[int, ...], list[int]]] = {}
+        self._index = {stored: bi for bi, stored in enumerate(window)}
+        self._depth = len(window[-1])
         self._rows: dict[tuple[tuple[int, ...], int], list[int]] = {}
         self._masks: dict[tuple[tuple[int, ...], int], int] = {}
 
@@ -192,15 +196,12 @@ class MembershipTable:
         m = max(k, len(anchor) + 1)
         row = self._rows.get((anchor, m))
         if row is None:
-            buckets = self._buckets.get(m)
-            if buckets is None:
-                buckets = {}
-                for bi, stored in enumerate(self.window):
-                    buckets.setdefault(_prefix_tuple(stored, m), []).append(bi)
-                self._buckets[m] = buckets
-            a_fw, kind, words = _fw(anchor), self.kind, self.words
-            row = [bi for bi in buckets.get(_prefix_tuple(anchor, m), ())
-                   if _rel_on_tuples(kind, a_fw, words[bi])]
+            fit = bisect_right(self.window, self._depth - m, key=len)
+            index = self._index
+            # only an anchor longer than the window can be missing from it
+            row = [index[c] for c in relative_members(
+                self.kind, anchor, m, itertools.islice(self.window, 1, fit))
+                if c in index]
             self._rows[(anchor, m)] = row
         return row
 

@@ -7,6 +7,7 @@ certificate and the blind bounded recursion. Controls document what rejection
 looks like.
 """
 
+import functools
 import itertools
 import json
 
@@ -19,8 +20,8 @@ from nbhdprod.countermodel import (Bounds, Certificate, SymbolicValuation,
 from nbhdprod.formula import (OP_ATOM, OP_BOTTOM, OP_IMPLIES, compile_formula,
                               generate_formulas, parse)
 from nbhdprod.kripke import FrameKind, SymbolicTreeFrame
-from nbhdprod.omega import (MembershipTable, ProductPoint, enumerate_pseudo,
-                            prefix, pseudo, u_contains, zero_seq)
+from nbhdprod.omega import (ProductPoint, enumerate_pseudo, prefix, pseudo,
+                            u_contains, zero_seq)
 
 COM = parse("[1][2] p -> [2][1] p")
 CHR = parse("~[1]~[2] p -> [2]~[1]~p")
@@ -111,11 +112,18 @@ def test_certificate_json_shape():
     assert "failure" in rejected.to_dict()
 
 
+@functools.cache
+def _reference_zero_row(kind, branching, d, k):
+    """The members of U_k(0) with support <= d, in enumeration order: the
+    absolute window filtered by pointwise u_contains."""
+    frame, zero = SymbolicTreeFrame(kind, branching), zero_seq(branching)
+    return tuple(x for x in enumerate_pseudo(branching, d)
+                 if u_contains(frame, zero, k, x))
+
+
 def _reference_zero_neighborhoods(frame, d):
     """k -> the members of U_k(0) with support <= d, in enumeration order."""
-    universe = enumerate_pseudo(frame.branching, d)
-    table = MembershipTable(frame.kind, [x.stored for x in universe])
-    return lambda k: [universe[i] for i in table.members((), k)]
+    return lambda k: _reference_zero_row(frame.kind, frame.branching, d, k)
 
 
 def point_json(p):
@@ -128,7 +136,7 @@ def _zeros_then_one(count, branching):
 
 def reference_check_com_certificate(frame1, frame2, bounds=Bounds(), valuation=None):
     """check_com_certificate on PseudoSeq members of an absolute window
-    (a MembershipTable over enumerate_pseudo) and ProductPoint witnesses,
+    (enumerate_pseudo filtered by u_contains) and ProductPoint witnesses,
     with u_contains on every constructed witness."""
     b1, b2 = frame1.branching, frame2.branching
     anchor = ProductPoint(zero_seq(b1), zero_seq(b2))
@@ -468,7 +476,7 @@ def test_valuations_depend_only_on_canonical_form():
 
 
 def test_valuations_match_their_pseudoseq_definitions():
-    """holds on stored tuples agrees with the valuations as written on
+    """rank on the stored lengths agrees with the valuations as written on
     PseudoSeq coordinates (dataclass equality, the st property)."""
     for b in (1, 2):
         anchor = ProductPoint(zero_seq(b), zero_seq(b))
@@ -482,7 +490,7 @@ def test_valuations_match_their_pseudoseq_definitions():
         for make in (st_com_valuation, st_chr_valuation, const_true_valuation):
             val = make(anchor)
             for x, y in itertools.product(window, window):
-                assert val.holds(x.stored, y.stored) == \
+                assert val.rank(len(x.stored), len(y.stored)) == \
                     definitions[val.name](ProductPoint(x, y)), (val.name, x, y)
 
 

@@ -6,12 +6,11 @@ from random import Random
 import pytest
 
 from nbhdprod.formula import Atom, Bottom, Box, Implies, generate_formulas, parse
-from nbhdprod.kripke import (FiniteKripkeFrame, FrameKind, FrameProps,
-                             SymbolicTreeFrame, Word, _rel_on_tuples,
-                             check_fractal, enumerate_tagged_words,
-                             enumerate_words, frame_props, fusion_word_rel,
-                             satisfies, tagged_word, tree_successors, word,
-                             word_layers, word_rel)
+from nbhdprod.kripke import (FiniteKripkeFrame, FrameKind, SymbolicTreeFrame,
+                             Word, _rel_on_tuples, check_fractal,
+                             enumerate_tagged_words, enumerate_words,
+                             fusion_word_rel, satisfies, tagged_word,
+                             tree_successors, word, word_layers, word_rel)
 from nbhdprod.report import BudgetExceeded, VerificationReport
 from nbhdprod.sampling import random_kripke_frame
 
@@ -268,28 +267,8 @@ def _successors_per_world(frame, i):
             for w in frame.worlds}
 
 
-def test_successor_sets_and_frame_props_match_per_world_scan():
+def test_successor_sets_match_per_world_scan():
     for seed in range(200):
         frame = random_kripke_frame(Random(seed), max_worlds=6)
         for i in frame.modalities:
-            succ = _successors_per_world(frame, i)
-            assert frame.successor_sets(i) == succ
-            assert frame_props(frame)[i] == FrameProps(
-                all(succ.values()), all(w in succ[w] for w in frame.worlds),
-                all(succ[v] <= succ[w] for w in frame.worlds for v in succ[w]))
-
-
-def test_frame_props_pinned():
-    reflexive = FiniteKripkeFrame(("w",), {1: frozenset({("w", "w")})})
-    assert frame_props(reflexive)[1] == FrameProps(True, True, True)
-
-    chain = FiniteKripkeFrame(("w", "v"), {1: frozenset({("w", "v")})})
-    assert frame_props(chain)[1].serial is False
-
-    triangle = FiniteKripkeFrame(
-        ("w", "v", "u"),
-        {1: frozenset({("w", "v"), ("v", "u"), ("w", "u")})})
-    assert frame_props(triangle)[1].transitive is True
-    two_step = FiniteKripkeFrame(
-        ("w", "v", "u"), {1: frozenset({("w", "v"), ("v", "u")})})
-    assert frame_props(two_step)[1].transitive is False
+            assert frame.successor_sets(i) == _successors_per_world(frame, i)

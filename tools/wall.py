@@ -55,7 +55,7 @@ COMMANDS: tuple[tuple[str, list[str]], ...] = (
       for d in (4, 5, 6, 7)),
     *((f"lex-rt-b2-d{d}", _cli("verify", "--lemma", "lex", "--kind", "rt",
                                "--branching", "2", "--depth", str(d)))
-      for d in (4, 5, 6)),
+      for d in (4, 5, 6, 7)),
     *((f"{lemma}-rt-b2-d{d}", _cli("verify", "--lemma", lemma, "--kind", "rt",
                                    "--branching", "2", "--depth", str(d)))
       for lemma in ("chain", "axiom-evidence") for d in (6, 7)),
