@@ -185,7 +185,6 @@ class MembershipTable:
     def __init__(self, kind: FrameKind, window: Sequence[tuple[int, ...]]):
         self.kind = kind
         self.window = window
-        self.words = [_fw(stored) for stored in window]
         self._index = {stored: bi for bi, stored in enumerate(window)}
         self._depth = len(window[-1])
         self._rows: dict[tuple[tuple[int, ...], int], list[int]] = {}
@@ -299,7 +298,7 @@ def verify_ff_morphism(frame: SymbolicTreeFrame, d: int) -> VerificationReport:
         kind = frame.kind
         window = _enumerate_stored(frame.branching, d)
         table = MembershipTable(kind, window)
-        words = table.words
+        words = [_fw(stored) for stored in window]
         # R-successors inside the window, per zero-forgotten anchor
         successors: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         for a_stored, a_fw in zip(window, words):
@@ -341,10 +340,9 @@ _EVIDENCE_KINDS: dict[str, tuple[FrameKind, ...]] = {
 }
 
 
-def axiom_evidence(frame: SymbolicTreeFrame, d: int,
-                   evidence: str | None = None) -> VerificationReport:
+def axiom_evidence(frame: SymbolicTreeFrame, d: int) -> VerificationReport:
     """Window evidence that the U_k families validate the structural axioms
-    the frame kind promises.
+    the frame kind promises (_EVIDENCE_KINDS):
 
     d     every U_k(alpha) owns the member prefix + letter 1 (nonempty);
     t     alpha itself is in every U_k(alpha) (reflexive kinds);
@@ -357,23 +355,16 @@ def axiom_evidence(frame: SymbolicTreeFrame, d: int,
     at its least index, and the rest of the block counted in bulk. checked
     and the first counterexample are those of the loop over every index.
     """
-    if evidence is None:
-        kinds = [name for name, ks in _EVIDENCE_KINDS.items() if frame.kind in ks]
-    else:
-        if evidence not in _EVIDENCE_KINDS:
-            raise ValueError(f"unknown evidence {evidence!r}")
-        if frame.kind not in _EVIDENCE_KINDS[evidence]:
-            raise ValueError(f"evidence {evidence!r} inapplicable to kind "
-                             f"{frame.kind.value}")
-        kinds = [evidence]
+    kinds = [name for name, ks in _EVIDENCE_KINDS.items() if frame.kind in ks]
     with VerificationReport(
             lemma="axiom-evidence",
             params={"kind": frame.kind.value, "branching": frame.branching, "d": d,
                     "evidence": kinds}) as report:
         window = _enumerate_stored(frame.branching, d)
         table = MembershipTable(frame.kind, window)
+        words = [_fw(stored) for stored in window]
         if "d" in kinds:
-            for a_stored, a_fw in zip(window, table.words):
+            for a_stored, a_fw in zip(window, words):
                 for k, size in _index_blocks(len(a_stored) + 1, d):
                     wit = _prefix_tuple(a_stored, max(k, len(a_stored) + 1)) + (1,)
                     if not _u_fast(frame.kind, a_stored, a_fw, wit, _fw(wit), k):
@@ -382,7 +373,7 @@ def axiom_evidence(frame: SymbolicTreeFrame, d: int,
                                             "k": k, "witness": list(wit)})
                     report.checked += size
         if "t" in kinds:
-            for a_stored, a_fw in zip(window, table.words):
+            for a_stored, a_fw in zip(window, words):
                 for k, size in _index_blocks(len(a_stored) + 1, d):
                     if not _u_fast(frame.kind, a_stored, a_fw, a_stored, a_fw, k):
                         report.checked += 1
@@ -507,43 +498,33 @@ def verify_g_morphism(frame1: SymbolicTreeFrame, frame2: SymbolicTreeFrame,
                 for c in tree_successors(kinds[i], (), word_layers(
                     branching, d, budget=DEFAULT_SEQ_BUDGET))]
             for i, branching in ((1, b1), (2, b2))}
-        g_cache: dict[tuple[tuple[int, ...], tuple[int, ...]],
-                      tuple[tuple[int, int], ...]] = {}
 
-        def g_of(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-            hit = g_cache.get((a, b))
+        def witnesses(i: int, anchor: tuple[int, ...], m: int, head: tuple[int, ...]
+                      ) -> Iterator[tuple[tuple[int, ...], tuple, tuple, bool]]:
+            """Per step c on side i: the moved coordinate head + c, c's tagged
+            form, g(c), and whether head + c lies in U_m(anchor)."""
+            anchor_fw, kind = _fw(anchor), kinds[i]
+            for c, tagged, tail in side_steps[i]:
+                x = _canon(head + c)
+                yield x, tagged, tail, _u_fast(kind, anchor, anchor_fw, x, _fw(x), m)
+
+        # per side, (anchor, m) -> (prefix(anchor, m), the index of the first
+        # step whose witness leaves U_m(anchor) or whose image g(c) is not its
+        # tagged form, or the number of steps if none does). None of it
+        # depends on the pinned coordinate. A side-1 anchor is always the
+        # current alpha, so that side is dropped when alpha moves on, while
+        # every alpha reuses side 2.
+        blocks: dict[int, dict[tuple[tuple[int, ...], int],
+                               tuple[tuple[int, ...], int]]] = {1: {}, 2: {}}
+
+        def block(i: int, anchor: tuple[int, ...], m: int) -> tuple[tuple[int, ...], int]:
+            hit = blocks[i].get((anchor, m))
             if hit is None:
-                hit = _interleave(a, b)
-                g_cache[(a, b)] = hit
-            return hit
-
-        # per side, (anchor, m) -> witnesses(i, anchor, m); a side-1 anchor
-        # is always the current alpha, so that side is dropped with g_cache
-        # when alpha moves on, while every alpha reuses side 2
-        witness_cache: dict[int, dict[tuple[tuple[int, ...], int],
-                                      tuple[tuple[int, ...], list[tuple], int]]] = {
-            1: {}, 2: {}}
-
-        def witnesses(i: int, anchor: tuple[int, ...],
-                      m: int) -> tuple[tuple[int, ...], list[tuple], int]:
-            """The head prefix(anchor, m); per step c on side i: c, the moved
-            coordinate head + c, c's tagged form, and whether head + c lies in
-            U_m(anchor); then the index of the first step that leaves U_m(anchor)
-            or whose image g(c) is not its tagged form, or the number of steps
-            if none does. None of it depends on the pinned coordinate."""
-            key = (anchor, m)
-            hit = witness_cache[i].get(key)
-            if hit is None:
-                head, anchor_fw, kind = _prefix_tuple(anchor, m), _fw(anchor), kinds[i]
-                steps, bad = [], None
-                for c, tagged, tail in side_steps[i]:
-                    x = _canon(head + c)
-                    inside = _u_fast(kind, anchor, anchor_fw, x, _fw(x), m)
-                    if bad is None and not (inside and tail == tagged):
-                        bad = len(steps)
-                    steps.append((c, x, tagged, inside))
-                hit = (head, steps, len(steps) if bad is None else bad)
-                witness_cache[i][key] = hit
+                head = _prefix_tuple(anchor, m)
+                hit = head, next((j for j, (_, tagged, tail, inside) in enumerate(
+                    witnesses(i, anchor, m, head)) if not (inside and tail == tagged)),
+                    len(side_steps[i]))
+                blocks[i][(anchor, m)] = hit
             return hit
 
         def point(a: tuple[int, ...], b: tuple[int, ...]) -> dict[str, list[int]]:
@@ -559,11 +540,10 @@ def verify_g_morphism(frame1: SymbolicTreeFrame, frame2: SymbolicTreeFrame,
         inner = {i: list(itertools.takewhile(lambda s: len(s) + 2 <= d,
                                              tables[i].window)) for i in (1, 2)}
         for alpha in inner[1]:
-            witness_cache[1].clear()
-            g_cache.clear()
+            blocks[1].clear()
             for beta in inner[2]:
                 lo = max(len(alpha), len(beta)) + 2  # max(st(alpha), st(beta)) + 1
-                image = g_of(alpha, beta)
+                image = _interleave(alpha, beta)
                 for m in range(lo, d + 1):
                     for i in (1, 2):
                         kind, table = kinds[i], tables[i]
@@ -571,7 +551,7 @@ def verify_g_morphism(frame1: SymbolicTreeFrame, frame2: SymbolicTreeFrame,
                         members = table.members(anchor, m)
                         for n, bi in enumerate(members):
                             q = moved(i, table.window[bi], alpha, beta)
-                            if not _fusion_rel_on_tuples(kind, i, image, g_of(*q)):
+                            if not _fusion_rel_on_tuples(kind, i, image, _interleave(*q)):
                                 report.count("forward", n + 1)
                                 return report.fail({
                                     "layer": "forward", "modality": i, "m": m,
@@ -584,19 +564,22 @@ def verify_g_morphism(frame1: SymbolicTreeFrame, frame2: SymbolicTreeFrame,
                         # first part is the image, the witnesses' verdicts
                         # are those of the steps alone. Any other block is
                         # mapped witness by witness.
-                        head, steps, bad = witnesses(i, anchor, m)
+                        head, bad = block(i, anchor, m)
+                        steps = side_steps[i]
                         if _interleave(*moved(i, head, alpha, beta)) != image:
-                            bad = next((j for j, (_, x, tagged, inside) in enumerate(steps)
-                                        if not inside or _interleave(
-                                            *moved(i, x, alpha, beta)) != image + tagged),
-                                       len(steps))
+                            bad = next((j for j, (x, tagged, _, inside) in enumerate(
+                                witnesses(i, anchor, m, head))
+                                if not inside or _interleave(
+                                    *moved(i, x, alpha, beta)) != image + tagged),
+                                len(steps))
                         report.count("covering", min(bad + 1, len(steps)))
                         if bad < len(steps):
-                            c, x = steps[bad][:2]
+                            c = steps[bad][0]
                             return report.fail({
                                 "layer": "covering", "modality": i, "m": m,
                                 "point": point(alpha, beta), "step": list(c),
-                                "witness": point(*moved(i, x, alpha, beta))})
+                                "witness": point(*moved(i, _canon(head + c),
+                                                        alpha, beta))})
     return report
 
 
@@ -648,18 +631,6 @@ def strict_bounds_witnesses(alpha: PseudoSeq) -> tuple[PseudoSeq, PseudoSeq]:
     return below, above
 
 
-def _count_below(keys: list[tuple[int, ...]], t: tuple[int, ...], width: int, *,
-                 inclusive: bool = False) -> int:
-    """How many window points lie lex-below t (or equal to it, if inclusive),
-    given the window's keys zero-padded to width and sorted. t may be longer
-    than width; its first nonzero entry past width then decides the ties."""
-    head = _prefix_tuple(t, width)
-    tail = next((x for x in t[width:] if x), 0)
-    if tail > 0 or (tail == 0 and inclusive):
-        return bisect_right(keys, head)
-    return bisect_left(keys, head)
-
-
 class _LexWindow:
     """The signed window of support <= d with its U_k table and its lex order,
     built once and shared by every center checked on it with the same k_max
@@ -672,15 +643,24 @@ class _LexWindow:
         self.table = MembershipTable(kind, window)
         # lex order of the window: rank[i] is the position of window[i]
         self.width = width = max(d, 0) + 1
-        self.order = sorted(range(len(window)),
-                            key=lambda i: _prefix_tuple(window[i], width))
-        self.keys = [_prefix_tuple(window[i], width) for i in self.order]
+        self._key = lambda i: _prefix_tuple(window[i], width)
+        self.order = sorted(range(len(window)), key=self._key)
         self.rank = [0] * len(window)
         for r, i in enumerate(self.order):
             self.rank[i] = r
         # the neighborhood-inside layer does not depend on k: per alpha, its
         # checked count, counterexample or None, and vacuous count
         self._neighborhoods: dict[tuple[int, ...], tuple[int, Any, int]] = {}
+
+    def _count_below(self, t: tuple[int, ...], *, inclusive: bool = False) -> int:
+        """How many window points lie lex-below t (or equal to it, if
+        inclusive): a bisection of the lex order by the window's tuples
+        zero-padded to width. t may be longer than width; its first nonzero
+        entry past width then decides the ties."""
+        head = _prefix_tuple(t, self.width)
+        tail = next((x for x in t[self.width:] if x), 0)
+        search = bisect_right if tail > 0 or (tail == 0 and inclusive) else bisect_left
+        return search(self.order, head, key=self._key)
 
     def check(self, report: VerificationReport, alpha: PseudoSeq, k: int) -> None:
         """Both layers of lex_window_compare at the center (alpha, k)."""
@@ -699,7 +679,7 @@ class _LexWindow:
 
     def _interval_inside(self, report: VerificationReport, alpha: PseudoSeq,
                          k: int) -> bool:
-        window, keys, width = self.window, self.keys, self.width
+        window = self.window
         a_stored, a_fw = alpha.stored, _fw(alpha.stored)
         punctured = self.kind is FrameKind.IT
         p = _prefix_tuple(a_stored, max(k, alpha.st))
@@ -709,8 +689,8 @@ class _LexWindow:
                 report.fail({"layer": "interval-inside",
                              "reason": "alpha not excluded", "k": k})
                 return False
-        start = _count_below(keys, p + (-1,), width, inclusive=True)
-        stop = _count_below(keys, p + (1,), width)
+        start = self._count_below(p + (-1,), inclusive=True)
+        stop = self._count_below(p + (1,))
         members = self.table.mask(a_stored, k)
         for gi in sorted(self.order[start:stop]):
             report.checked += 1
@@ -721,7 +701,7 @@ class _LexWindow:
         return True
 
     def _neighborhood_inside(self, a_stored: tuple[int, ...]) -> tuple[int, Any, int]:
-        window, keys, width, rank = self.window, self.keys, self.width, self.rank
+        window, rank = self.window, self.rank
         # lowest and highest rank of each U_k'(alpha) up to the first empty
         # one, which discharges every interval that reaches it
         live: list[tuple[int, int]] = []
@@ -731,8 +711,8 @@ class _LexWindow:
                 break
             live.append((min(ranks), max(ranks)))
         has_empty = len(live) < self.k_max + 1
-        a_below = _count_below(keys, a_stored, width)
-        a_upto = _count_below(keys, a_stored, width, inclusive=True)
+        a_below = self._count_below(a_stored)
+        a_upto = self._count_below(a_stored, inclusive=True)
         above = [i for i in range(len(window)) if rank[i] >= a_upto]
         # a live U_k' fits (l, r) iff l < its lowest member and its highest
         # member < r, so (l, r) is discharged by a live k' iff rank(r) exceeds

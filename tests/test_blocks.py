@@ -119,12 +119,13 @@ def reference_ff_morphism(frame, d):
     kind = frame.kind
     window = omega._enumerate_stored(frame.branching, d, False, omega.DEFAULT_SEQ_BUDGET)
     table = omega.MembershipTable(kind, window)
-    for a_stored, a_fw in zip(window, table.words):
+    words = [omega._fw(stored) for stored in window]
+    for a_stored, a_fw in zip(window, words):
         targets = list(tree_successors(kind, a_fw, layers))
         for k in range(d + 1):
             for bi in table.members(a_stored, k):
                 report.count("forward")
-                if not omega._rel_on_tuples(kind, a_fw, table.words[bi]):
+                if not omega._rel_on_tuples(kind, a_fw, words[bi]):
                     return report.fail({"layer": "forward", "alpha": list(a_stored),
                                         "k": k, "beta": list(window[bi])})
             head = omega._prefix_tuple(a_stored, max(k, len(a_stored) + 1))
@@ -173,8 +174,9 @@ def reference_axiom_evidence(frame, d):
                 "evidence": kinds})
     window = omega._enumerate_stored(frame.branching, d, False, omega.DEFAULT_SEQ_BUDGET)
     table = omega.MembershipTable(kind, window)
+    words = [omega._fw(stored) for stored in window]
     if "d" in kinds:
-        for a_stored, a_fw in zip(window, table.words):
+        for a_stored, a_fw in zip(window, words):
             for k in range(d + 1):
                 report.checked += 1
                 wit = omega._prefix_tuple(a_stored, max(k, len(a_stored) + 1)) + (1,)
@@ -182,7 +184,7 @@ def reference_axiom_evidence(frame, d):
                     return report.fail({"evidence": "d", "alpha": list(a_stored),
                                         "k": k, "witness": list(wit)})
     if "t" in kinds:
-        for a_stored, a_fw in zip(window, table.words):
+        for a_stored, a_fw in zip(window, words):
             for k in range(d + 1):
                 report.checked += 1
                 if not omega._u_fast(kind, a_stored, a_fw, a_stored, a_fw, k):
