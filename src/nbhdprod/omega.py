@@ -290,11 +290,11 @@ def verify_ff_morphism(frame: SymbolicTreeFrame, d: int) -> VerificationReport:
             params={"kind": frame.kind.value, "branching": frame.branching, "d": d,
                     "layers": dict.fromkeys(_MORPHISM_LAYERS, 0)}) as report:
         layers = word_layers(frame.branching, d, budget=DEFAULT_SEQ_BUDGET)
+        # forget_zeros(lift(w)) == w on the raw letters of each word w
         for letters in itertools.chain.from_iterable(layers):
-            w = Word(letters, frame.branching)
             report.count("surjectivity")
-            if forget_zeros(lift(w)) != w:
-                return report.fail({"layer": "surjectivity", "word": list(w.letters)})
+            if _fw(letters) != letters:
+                return report.fail({"layer": "surjectivity", "word": list(letters)})
         kind = frame.kind
         window = _enumerate_stored(frame.branching, d)
         table = MembershipTable(kind, window)
@@ -491,95 +491,76 @@ def verify_g_morphism(frame1: SymbolicTreeFrame, frame2: SymbolicTreeFrame,
         tables = {1: MembershipTable(frame1.kind, _enumerate_stored(b1, d)),
                   2: MembershipTable(frame2.kind, _enumerate_stored(b2, d))}
         # successor words () R c per side, inside the window, with their
-        # tagged forms and g's image of c written alone on side i
+        # tagged forms
         side_steps = {
-            i: [(c, tuple((i, x) for x in c),
-                 _interleave(c, ()) if i == 1 else _interleave((), c))
-                for c in tree_successors(kinds[i], (), word_layers(
-                    branching, d, budget=DEFAULT_SEQ_BUDGET))]
+            i: [(c, tuple((i, x) for x in c)) for c in tree_successors(
+                kinds[i], (), word_layers(branching, d, budget=DEFAULT_SEQ_BUDGET))]
             for i, branching in ((1, b1), (2, b2))}
 
-        def witnesses(i: int, anchor: tuple[int, ...], m: int, head: tuple[int, ...]
-                      ) -> Iterator[tuple[tuple[int, ...], tuple, tuple, bool]]:
-            """Per step c on side i: the moved coordinate head + c, c's tagged
-            form, g(c), and whether head + c lies in U_m(anchor)."""
-            anchor_fw, kind = _fw(anchor), kinds[i]
-            for c, tagged, tail in side_steps[i]:
-                x = _canon(head + c)
-                yield x, tagged, tail, _u_fast(kind, anchor, anchor_fw, x, _fw(x), m)
+        def alone(i: int, x: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+            """g of the point with x on side i and zero on the other side."""
+            return _interleave(x, ()) if i == 1 else _interleave((), x)
 
-        # per side, (anchor, m) -> (prefix(anchor, m), the index of the first
-        # step whose witness leaves U_m(anchor) or whose image g(c) is not its
-        # tagged form, or the number of steps if none does). None of it
-        # depends on the pinned coordinate. A side-1 anchor is always the
-        # current alpha, so that side is dropped when alpha moves on, while
-        # every alpha reuses side 2.
-        blocks: dict[int, dict[tuple[tuple[int, ...], int],
-                               tuple[tuple[int, ...], int]]] = {1: {}, 2: {}}
+        # (side, anchor, m) -> (U_m(anchor) as window indices, the index of
+        # its first member x without g(anchor) R_i g(x), the index of the
+        # first step c whose witness prefix(anchor, m) + c leaves U_m(anchor)
+        # or does not map to g(anchor) + c tagged), each decided with the
+        # pinned coordinate zero; an index past the end means nothing fails.
+        # g maps position by position, every member and witness agrees with
+        # the anchor up to m, and every pinned partner at m is zero from m
+        # on, so these are the verdicts of every point that meets the block.
+        verdicts: dict[tuple[int, tuple[int, ...], int],
+                       tuple[list[int], int, int]] = {}
 
-        def block(i: int, anchor: tuple[int, ...], m: int) -> tuple[tuple[int, ...], int]:
-            hit = blocks[i].get((anchor, m))
+        def verdict(i: int, anchor: tuple[int, ...], m: int) -> tuple[list[int], int, int]:
+            hit = verdicts.get((i, anchor, m))
             if hit is None:
+                kind, table, steps = kinds[i], tables[i], side_steps[i]
+                image, anchor_fw = alone(i, anchor), _fw(anchor)
+                row = table.members(anchor, m)
+                forward = next((n for n, bi in enumerate(row) if not _fusion_rel_on_tuples(
+                    kind, i, image, alone(i, table.window[bi]))), len(row))
                 head = _prefix_tuple(anchor, m)
-                hit = head, next((j for j, (_, tagged, tail, inside) in enumerate(
-                    witnesses(i, anchor, m, head)) if not (inside and tail == tagged)),
-                    len(side_steps[i]))
-                blocks[i][(anchor, m)] = hit
+                covering = len(steps)
+                for j, (c, tagged) in enumerate(steps):
+                    x = _canon(head + c)
+                    if not (_u_fast(kind, anchor, anchor_fw, x, _fw(x), m)
+                            and alone(i, x) == image + tagged):
+                        covering = j
+                        break
+                hit = verdicts[(i, anchor, m)] = row, forward, covering
             return hit
 
         def point(a: tuple[int, ...], b: tuple[int, ...]) -> dict[str, list[int]]:
             return {"first": list(a), "second": list(b)}
-
-        def moved(i: int, x: tuple[int, ...], alpha: tuple[int, ...],
-                  beta: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-            """(alpha, beta) with coordinate i moved to x; the other stays pinned."""
-            return (x, beta) if i == 1 else (alpha, x)
 
         # base-set indices reach d only for coordinates with st + 1 <= d, the
         # shortlex prefix of each window
         inner = {i: list(itertools.takewhile(lambda s: len(s) + 2 <= d,
                                              tables[i].window)) for i in (1, 2)}
         for alpha in inner[1]:
-            blocks[1].clear()
             for beta in inner[2]:
                 lo = max(len(alpha), len(beta)) + 2  # max(st(alpha), st(beta)) + 1
-                image = _interleave(alpha, beta)
                 for m in range(lo, d + 1):
                     for i in (1, 2):
-                        kind, table = kinds[i], tables[i]
                         anchor = alpha if i == 1 else beta
-                        members = table.members(anchor, m)
-                        for n, bi in enumerate(members):
-                            q = moved(i, table.window[bi], alpha, beta)
-                            if not _fusion_rel_on_tuples(kind, i, image, _interleave(*q)):
-                                report.count("forward", n + 1)
-                                return report.fail({
-                                    "layer": "forward", "modality": i, "m": m,
-                                    "point": point(alpha, beta),
-                                    "member": point(*q)})
-                        report.count("forward", len(members))
-                        # g maps position by position and the pinned
-                        # coordinate is zero from m on, so every witness
-                        # head + c maps to g(head, pinned) + g(c): when the
-                        # first part is the image, the witnesses' verdicts
-                        # are those of the steps alone. Any other block is
-                        # mapped witness by witness.
-                        head, bad = block(i, anchor, m)
+                        row, forward, covering = verdict(i, anchor, m)
+                        report.count("forward", min(forward + 1, len(row)))
+                        if forward < len(row):
+                            x = tables[i].window[row[forward]]
+                            return report.fail({
+                                "layer": "forward", "modality": i, "m": m,
+                                "point": point(alpha, beta),
+                                "member": point(x, beta) if i == 1 else point(alpha, x)})
                         steps = side_steps[i]
-                        if _interleave(*moved(i, head, alpha, beta)) != image:
-                            bad = next((j for j, (x, tagged, _, inside) in enumerate(
-                                witnesses(i, anchor, m, head))
-                                if not inside or _interleave(
-                                    *moved(i, x, alpha, beta)) != image + tagged),
-                                len(steps))
-                        report.count("covering", min(bad + 1, len(steps)))
-                        if bad < len(steps):
-                            c = steps[bad][0]
+                        report.count("covering", min(covering + 1, len(steps)))
+                        if covering < len(steps):
+                            c = steps[covering][0]
+                            x = _canon(_prefix_tuple(anchor, m) + c)
                             return report.fail({
                                 "layer": "covering", "modality": i, "m": m,
                                 "point": point(alpha, beta), "step": list(c),
-                                "witness": point(*moved(i, _canon(head + c),
-                                                        alpha, beta))})
+                                "witness": point(x, beta) if i == 1 else point(alpha, x)})
     return report
 
 

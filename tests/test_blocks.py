@@ -1,28 +1,31 @@
 """Block-decided window checks against the per-obligation loops they replace.
 
-verify_g_morphism decides the covering witnesses of one (point, m, side) as
-a block and checks surjectivity on raw letter tuples; verify_ff_morphism,
-check_chain and axiom_evidence decide the obligations of every index that
-shares m = max(k, st(alpha)) once; check_fractal decides () R c once per c;
-and the lex suite runs all its centers on one shared window. The loops kept
-here are the code those replaced: each covering witness mapped whole and
-surjectivity through TaggedWord, g_map and g_preimage, every k (and every
-pair m <= k) on its own, both sides of the fractal law per pair, and a
-fresh window per center. Reports must be identical, counts and first
-counterexample included, on the plain windows and under injected faults.
+verify_g_morphism decides the forward row and the covering witnesses of
+each (side, anchor, m) once, with the pinned coordinate zero, and checks
+surjectivity on raw letter tuples; verify_ff_morphism, check_chain and
+axiom_evidence decide the obligations of every index that shares
+m = max(k, st(alpha)) once; check_fractal decides () R c once per c; and the
+lex suite runs all its centers on one shared window. The loops kept here
+are the code those replaced: every (point, m, side) with each member and
+covering witness mapped whole, surjectivity through Word, TaggedWord, g_map
+and g_preimage, every k (and every pair m <= k) on its own, both sides of
+the fractal law per pair, and a fresh window per center. Reports must be
+identical, counts and first counterexample included, on the plain windows
+and under injected faults.
 
 The faults flip U_k membership (omega._u_fast), the tree relation
 (_rel_on_tuples, in omega and in kripke), whole U_k rows
 (MembershipTable.members) or the image of g (omega._interleave) on a
 sparse, deterministic set of arguments. The _u_fast and row faults depend
 on k only through m, as U_k itself does; a fault that tells apart two k
-with the same m is outside what the block form promises. The g block form
-also rests on the interleave being positionwise, which
-test_interleave_is_positionwise checks exhaustively on short tuples: a g
-that breaks it can pass the block form where the whole-witness loop fails,
-so that test, not the verify run, catches it. The surjectivity layer maps
-every tagged word whole, so it fails where the reference does under any
-interleave fault.
+with the same m is outside what the block form promises. The g verdicts
+promise identical reports for faults that keep g positionwise, which
+test_interleave_is_positionwise checks exhaustively on short tuples, and
+keep every row inside its anchor's prefix cylinder, as relative_members
+builds it: a row fault that adds a member off that cylinder gives the
+member an image that depends on the pinned partner, so the row faults run
+only on the one-frame lemmas. The surjectivity layer maps every tagged word
+whole, so it fails where the reference does under any interleave fault.
 """
 
 import itertools
@@ -255,10 +258,19 @@ def _frames(branching):
 
 # --- plain windows -------------------------------------------------------------------
 
+# kind pairs whose g-morphism also runs at d5, per branching: the reference
+# takes about 0.45 s for rt-it at b2 d5
+G_DEEP = {1: set(itertools.product(KINDS, KINDS)),
+          2: {(FrameKind.RT, FrameKind.IT), (FrameKind.IT, FrameKind.RT),
+              (FrameKind.RN, FrameKind.IN), (FrameKind.IN, FrameKind.RN)},
+          3: set()}
+
+
 @pytest.mark.parametrize("branching", [1, 2, 3])
 def test_g_morphism_matches_per_witness_loop(branching):
     for frame1, frame2 in itertools.product(_frames(branching), repeat=2):
-        for d in range(5):
+        deep = (frame1.kind, frame2.kind) in G_DEEP[branching]
+        for d in range(6 if deep else 5):
             _same(verify_g_morphism(frame1, frame2, d),
                   reference_g_morphism(frame1, frame2, d))
 
@@ -508,29 +520,6 @@ def test_lex_suite_matches_under_faults(monkeypatch, fault):
     assert failed
 
 
-def test_g_blocks_fall_back_to_whole_witnesses(monkeypatch):
-    # an interleave that marks zero-padded input: the reference never passes
-    # any, but every block head prefix(anchor, m) ends in a padding zero, so
-    # each block maps its witnesses whole, and a U_k fault then shows there
-    real = omega._interleave
-    padded = []
-
-    def marking(a, b):
-        if (a and a[-1] == 0) or (b and b[-1] == 0):
-            padded.append((a, b))
-            return real(a, b) + ((0, 0),)
-        return real(a, b)
-
-    monkeypatch.setattr(omega, "_interleave", marking)
-    frame1, frame2 = SymbolicTreeFrame(FrameKind.RT, 2), SymbolicTreeFrame(FrameKind.IN, 2)
-    _same(verify_g_morphism(frame1, frame2, 4), reference_g_morphism(frame1, frame2, 4))
-    assert padded
-    _flip_u_fast(monkeypatch, 97, 0)
-    got = verify_g_morphism(frame1, frame2, 4)
-    assert not got.passed
-    _same(got, reference_g_morphism(frame1, frame2, 4))
-
-
 # --- the interleave is positionwise ----------------------------------------------------
 
 def positionwise_violation(interleave, head_len=2, tail_len=3, alphabet=(0, 1, 2)):
@@ -552,16 +541,36 @@ def test_interleave_is_positionwise():
     assert positionwise_violation(_interleave) is None
 
 
-def test_positionwise_check_catches_a_position_dependent_interleave(monkeypatch):
-    # a g that loses every letter past position 3 maps tuples of length <= 3
-    # right, and at d = 3 a g block reads it on nothing longer (heads and
-    # steps are at most d long): the whole-witness loop sees the fault there,
-    # the block form does not, and this check does
-    def truncating(a, b):
-        return _interleave(a[:3], b[:3])
+def _marking(a, b):
+    """g with an extra letter wherever an input is zero-padded: g of a
+    padded prefix is no longer the prefix of g of its extensions."""
+    out = _interleave(a, b)
+    return out + ((0, 0),) if (a and a[-1] == 0) or (b and b[-1] == 0) else out
 
-    assert positionwise_violation(truncating) is not None
-    monkeypatch.setattr(omega, "_interleave", truncating)
-    frame = SymbolicTreeFrame(FrameKind.RT, 2)
-    assert verify_g_morphism(frame, frame, 3).passed
-    assert reference_g_morphism(frame, frame, 3).counterexample["layer"] == "covering"
+
+def _truncating(a, b):
+    """g that loses every letter past position 3."""
+    return _interleave(a[:3], b[:3])
+
+
+def test_g_morphism_matches_under_position_dependent_interleaves():
+    # neither interleave is positionwise, which is outside what the block
+    # form promises, and positionwise_violation flags both; the verdicts
+    # still map only canonical tuples, each whole with the partner zero, so
+    # the reports are the whole-witness loop's on all 16 pairs. No canonical
+    # tuple is zero-padded, so the marking g passes where g does; the
+    # truncating g and the U_k fault fail every run
+    for interleave, flip in itertools.product((_marking, _truncating), (False, True)):
+        assert positionwise_violation(interleave) is not None
+        failed = 0
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(omega, "_interleave", interleave)
+            if flip:
+                _flip_u_fast(patch, 97, 0)
+            for kind1, kind2 in itertools.product(KINDS, KINDS):
+                frame1, frame2 = SymbolicTreeFrame(kind1, 2), SymbolicTreeFrame(kind2, 2)
+                for d in (3, 4):
+                    got = verify_g_morphism(frame1, frame2, d)
+                    _same(got, reference_g_morphism(frame1, frame2, d))
+                    failed += not got.passed
+        assert failed == (32 if flip or interleave is _truncating else 0)

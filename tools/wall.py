@@ -52,7 +52,7 @@ COMMANDS: tuple[tuple[str, list[str]], ...] = (
     *((f"g-morphism-rt-it-b2-d{d}", _cli("verify", "--lemma", "g-morphism", "--kind1",
                                          "rt", "--kind2", "it", "--branching", "2",
                                          "--depth", str(d)))
-      for d in (4, 5, 6, 7)),
+      for d in (4, 5, 6, 7, 8)),
     *((f"lex-rt-b2-d{d}", _cli("verify", "--lemma", "lex", "--kind", "rt",
                                "--branching", "2", "--depth", str(d)))
       for d in (4, 5, 6, 7)),
