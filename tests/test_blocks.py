@@ -553,24 +553,41 @@ def _truncating(a, b):
     return _interleave(a[:3], b[:3])
 
 
-def test_g_morphism_matches_under_position_dependent_interleaves():
-    # neither interleave is positionwise, which is outside what the block
-    # form promises, and positionwise_violation flags both; the verdicts
-    # still map only canonical tuples, each whole with the partner zero, so
-    # the reports are the whole-witness loop's on all 16 pairs. No canonical
-    # tuple is zero-padded, so the marking g passes where g does; the
-    # truncating g and the U_k fault fail every run
-    for interleave, flip in itertools.product((_marking, _truncating), (False, True)):
-        assert positionwise_violation(interleave) is not None
-        failed = 0
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(omega, "_interleave", interleave)
-            if flip:
-                _flip_u_fast(patch, 97, 0)
-            for kind1, kind2 in itertools.product(KINDS, KINDS):
-                frame1, frame2 = SymbolicTreeFrame(kind1, 2), SymbolicTreeFrame(kind2, 2)
-                for d in (3, 4):
-                    got = verify_g_morphism(frame1, frame2, d)
-                    _same(got, reference_g_morphism(frame1, frame2, d))
-                    failed += not got.passed
-        assert failed == (32 if flip or interleave is _truncating else 0)
+def _g_parity_under(interleave, flip):
+    """Check verify_g_morphism against the whole-witness loop on all 16
+    pairs at b2 d3-4 under ``interleave`` (and a U_k fault if ``flip``);
+    return how many of the 32 runs fail."""
+    failed = 0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(omega, "_interleave", interleave)
+        if flip:
+            _flip_u_fast(patch, 97, 0)
+        for kind1, kind2 in itertools.product(KINDS, KINDS):
+            frame1, frame2 = SymbolicTreeFrame(kind1, 2), SymbolicTreeFrame(kind2, 2)
+            for d in (3, 4):
+                got = verify_g_morphism(frame1, frame2, d)
+                _same(got, reference_g_morphism(frame1, frame2, d))
+                failed += not got.passed
+    return failed
+
+
+def test_g_blocks_fall_back_to_whole_witnesses():
+    # an interleave that marks zero-padded input is not positionwise, which
+    # is outside what the block form promises; the verdicts still map only
+    # canonical tuples, each whole with the partner zero, so their reports
+    # are the whole-witness loop's on all 16 pairs. No canonical tuple is
+    # zero-padded, so the marking g passes where g does, and a U_k fault
+    # then fails every run
+    assert positionwise_violation(_marking) is not None
+    assert _g_parity_under(_marking, flip=False) == 0
+    assert _g_parity_under(_marking, flip=True) == 32
+
+
+def test_positionwise_check_catches_a_position_dependent_interleave():
+    # a g that loses every letter past position 3 is flagged by the
+    # positionwise check, and the verdicts, which map every witness whole,
+    # fail every run as the whole-witness loop does, with or without a U_k
+    # fault
+    assert positionwise_violation(_truncating) is not None
+    assert _g_parity_under(_truncating, flip=False) == 32
+    assert _g_parity_under(_truncating, flip=True) == 32
