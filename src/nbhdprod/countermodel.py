@@ -14,8 +14,9 @@ explicit witnesses: universally quantified base-set indices run to a bound,
 universally quantified members run over an enumeration window, and every
 existential choice is a concrete constructed point that is re-checked for
 membership. The certificates work on the stored tuples of the coordinates
-(st is the length + 1) and take their members from omega.relative_members,
-clipped to support <= d_enum.
+(st is the length + 1) and read their members from the all-zero anchor's
+rows of an omega.MembershipTable over the sequences with support <= d_enum,
+the rows the window lemmas read.
 
 The valuations are rank valuations: at the all-zero anchor they read only
 the lengths of the two stored tuples (a coordinate equals the anchor's iff
@@ -27,7 +28,7 @@ on, whatever the tree shape, the branching or the entries of c, so the
 evaluator's window is a set of lengths: it enumerates no suffix and never
 meets the sequence budget. Its true@bounds / false@bounds labels and their
 one-sided meaning stay as they were; an exact evaluator for rank valuations
-is ROADMAP open item 2.
+is ROADMAP open item 5.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import Any, Callable
 
 from .formula import OP_ATOM, OP_BOTTOM, OP_IMPLIES, Formula, compile_formula
 from .kripke import SymbolicTreeFrame
-from .omega import (ProductPoint, _enumerate_stored, _fw, _u_fast, relative_members,
+from .omega import (MembershipTable, ProductPoint, _enumerate_stored, _fw, _u_fast,
                     zero_seq)
 
 Stored = tuple[int, ...]
@@ -143,27 +144,11 @@ def point_json(a: Stored, b: Stored) -> dict[str, list[int]]:
     return {"first": list(a), "second": list(b)}
 
 
-def _require_matching(frames: tuple[SymbolicTreeFrame, SymbolicTreeFrame],
-                      point: ProductPoint) -> None:
-    """u_contains's branching and signedness checks, once per entry point."""
-    for seq, frame in zip((point.first, point.second), frames):
-        if seq.branching != frame.branching:
-            raise ValueError("sequence branching does not match the frame")
-        if seq.signed:
-            raise ValueError("cannot mix signed and unsigned sequences")
-
-
 def _zero_rows(frame: SymbolicTreeFrame, d: int) -> Rows:
     """k -> the members of U_k(0) with support <= d, in shortlex order: the
-    anchor's relative window, clipped to the suffixes that fit behind its
-    max(k, 1) leading zeros (the (b + 1)^L - 1 of length <= L come first)."""
-    suffixes = _enumerate_stored(frame.branching, d)[1:]
-
-    @functools.cache
-    def row(k: int) -> list[Stored]:
-        fit = (frame.branching + 1) ** max(d - max(k, 1), 0) - 1
-        return relative_members(frame.kind, (), k, suffixes[:fit])
-    return row
+    all-zero anchor's rows of a MembershipTable over that window."""
+    table = MembershipTable(frame.kind, _enumerate_stored(frame.branching, d))
+    return lambda k: [table.window[bi] for bi in table.members((), k)]
 
 
 def _open(axiom: str, frames: tuple[SymbolicTreeFrame, SymbolicTreeFrame],
@@ -173,7 +158,6 @@ def _open(axiom: str, frames: tuple[SymbolicTreeFrame, SymbolicTreeFrame],
     """A certificate at the all-zero anchor, the valuation it reads (default
     at the anchor unless one is given) and the U_k(0) rows of both frames."""
     anchor = ProductPoint(zero_seq(frames[0].branching), zero_seq(frames[1].branching))
-    _require_matching(frames, anchor)
     val = default(anchor) if valuation is None else valuation
     cert = Certificate(axiom, (frames[0].kind.value, frames[1].kind.value),
                        (frames[0].branching, frames[1].branching), anchor, val.name, bounds)
@@ -343,7 +327,12 @@ def eval_bounded(frame1: SymbolicTreeFrame, frame2: SymbolicTreeFrame,
     if any(op == OP_ATOM and x != "p" for op, x, _ in nodes):
         raise ValueError("eval_bounded supports the single atom p")
     frames = (frame1, frame2)
-    _require_matching(frames, point)
+    # u_contains's branching and signedness checks, once for the caller's point
+    for seq, frame in zip((point.first, point.second), frames):
+        if seq.branching != frame.branching:
+            raise ValueError("sequence branching does not match the frame")
+        if seq.signed:
+            raise ValueError("cannot mix signed and unsigned sequences")
     reflexive = [frame.kind.reflexive for frame in frames]
 
     def lengths(i: int, own: int, cap: int) -> range | tuple[int, ...]:

@@ -1,9 +1,8 @@
 """Finite Kripke frames and the symbolic infinite tree frames over words.
 
-The four tree frames live on finite words over an alphabet {1..b} (or the
-signed alphabet {-b..-1, 1..b} for order work): the relation is one-step
-extension (in), its reflexive closure (rn), its transitive closure (it), or
-its reflexive-transitive closure (rt). All four satisfy the fractal law
+The four tree frames live on words over {1..b}: the relation is one-step
+extension (in), its reflexive closure (rn), its transitive closure (it),
+or its reflexive-transitive closure (rt). All four satisfy the fractal law
   a R (a.c)  iff  () R c
 which is what makes window checks on word length meaningful.
 """
@@ -39,30 +38,24 @@ class FrameKind(Enum):
 
 @dataclass(frozen=True)
 class Word:
-    """A finite word; letters in 1..b, or in +-1..+-b when signed."""
+    """A finite word; letters in 1..b."""
 
     letters: tuple[int, ...]
     branching: int
-    signed: bool = False
 
     def __post_init__(self) -> None:
         if self.branching < 1:
             raise ValueError("branching must be >= 1")
         for x in self.letters:
-            if self.signed:
-                ok = x != 0 and abs(x) <= self.branching
-            else:
-                ok = 1 <= x <= self.branching
-            if not ok:
-                raise ValueError(f"letter {x} invalid for branching {self.branching} "
-                                 f"(signed={self.signed})")
+            if not 1 <= x <= self.branching:
+                raise ValueError(f"letter {x} invalid for branching {self.branching}")
 
     def __len__(self) -> int:
         return len(self.letters)
 
 
-def word(letters: Iterable[int], branching: int, signed: bool = False) -> Word:
-    return Word(tuple(letters), branching, signed)
+def word(letters: Iterable[int], branching: int) -> Word:
+    return Word(tuple(letters), branching)
 
 
 @dataclass(frozen=True)
@@ -90,28 +83,21 @@ def _rel_on_tuples(kind: FrameKind, u: tuple[int, ...], v: tuple[int, ...]) -> b
 def word_rel(frame: SymbolicTreeFrame, u: Word, v: Word) -> bool:
     if u.branching != frame.branching or v.branching != frame.branching:
         raise ValueError("word branching does not match the frame")
-    if u.signed != v.signed:
-        raise ValueError("cannot relate signed and unsigned words")
     return _rel_on_tuples(frame.kind, u.letters, v.letters)
 
 
-def enumerate_words(branching: int, depth: int, *, signed: bool = False,
-                    budget: int = DEFAULT_WORD_BUDGET) -> list[Word]:
+def enumerate_words(branching: int, depth: int) -> list[Word]:
     """All words of length <= depth in shortlex order."""
-    return [Word(t, branching, signed) for layer in word_layers(
-        branching, depth, signed=signed, budget=budget) for t in layer]
+    return [Word(t, branching) for layer in word_layers(branching, depth)
+            for t in layer]
 
 
-def word_layers(branching: int, depth: int, *, signed: bool = False,
+def word_layers(branching: int, depth: int, *,
                 budget: int = DEFAULT_WORD_BUDGET) -> list[list[tuple[int, ...]]]:
     """The letter tuples of enumerate_words, one list per length: layers[n]
     holds the words of length n in lexicographic order."""
-    letters = itertools.chain(range(-branching, 0) if signed else (),
-                              range(1, branching + 1))
-    what = f"{'signed ' if signed else ''}words of length <= {depth} " \
-        f"at branching {branching}"
-    return _shortlex(letters, 2 * branching if signed else branching, depth,
-                     budget, what)
+    what = f"words of length <= {depth} at branching {branching}"
+    return _shortlex(range(1, branching + 1), branching, depth, budget, what)
 
 
 def _shortlex(letters: Iterable[Any], size: int, depth: int, budget: int,
@@ -131,9 +117,8 @@ def tree_successors(kind: FrameKind, u: tuple[int, ...],
                     layers: Sequence[Sequence[tuple[int, ...]]]
                     ) -> Iterator[tuple[int, ...]]:
     """The v with u R v among the words of layers (as word_layers gives
-    them), in shortlex order, built by extension: u itself for the reflexive
-    kinds, then its children, then every deeper descendant for the
-    transitive kinds."""
+    them), in shortlex order: u + c for each c of tree_successors(kind, (),
+    layers) that fits in the room the window leaves behind u."""
     room = len(layers) - 1 - len(u)
     if room < 0:
         return

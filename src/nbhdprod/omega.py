@@ -90,12 +90,12 @@ def prefix(alpha: PseudoSeq, k: int) -> tuple[int, ...]:
 
 def forget_zeros(alpha: PseudoSeq) -> Word:
     """Delete all zeros; the word of materialized letters."""
-    return Word(tuple(x for x in alpha.stored if x != 0), alpha.branching, alpha.signed)
+    return Word(tuple(x for x in alpha.stored if x != 0), alpha.branching)
 
 
 def lift(w: Word) -> PseudoSeq:
     """Zero-free lift; forget_zeros(lift(w)) == w for every word."""
-    return PseudoSeq(w.letters, w.branching, w.signed)
+    return PseudoSeq(w.letters, w.branching)
 
 
 def _canon(entries: tuple[int, ...]) -> tuple[int, ...]:
@@ -106,13 +106,13 @@ def _canon(entries: tuple[int, ...]) -> tuple[int, ...]:
     return entries[:end]
 
 
-def _enumerate_stored(branching: int, d: int, signed: bool = False,
-                      budget: int = DEFAULT_SEQ_BUDGET) -> list[tuple[int, ...]]:
+def _enumerate_stored(branching: int, d: int,
+                      signed: bool = False) -> list[tuple[int, ...]]:
     """Stored tuples of enumerate_pseudo, same order and budget check."""
     alphabet = range(-branching, branching + 1) if signed else range(branching + 1)
     what = f"{'signed ' if signed else ''}sequences with support <= {d} " \
         f"at branching {branching}"
-    check_window(what, len(alphabet) - 1, len(alphabet), d, budget)
+    check_window(what, len(alphabet) - 1, len(alphabet), d, DEFAULT_SEQ_BUDGET)
     out: list[tuple[int, ...]] = [()]
     for length in range(1, d + 1):
         for head in itertools.product(alphabet, repeat=length - 1):
@@ -120,12 +120,11 @@ def _enumerate_stored(branching: int, d: int, signed: bool = False,
     return out
 
 
-def enumerate_pseudo(branching: int, d: int, signed: bool = False, *,
-                     budget: int = DEFAULT_SEQ_BUDGET) -> list[PseudoSeq]:
+def enumerate_pseudo(branching: int, d: int, signed: bool = False) -> list[PseudoSeq]:
     """All sequences with support inside the first d positions, in shortlex
     order of the canonical stored tuples."""
     return [PseudoSeq(stored, branching, signed)
-            for stored in _enumerate_stored(branching, d, signed, budget)]
+            for stored in _enumerate_stored(branching, d, signed)]
 
 
 def _u_fast(kind: FrameKind, a_stored: tuple[int, ...], a_fw: tuple[int, ...],
@@ -298,38 +297,36 @@ def verify_ff_morphism(frame: SymbolicTreeFrame, d: int) -> VerificationReport:
         kind = frame.kind
         window = _enumerate_stored(frame.branching, d)
         table = MembershipTable(kind, window)
-        words = [_fw(stored) for stored in window]
-        # R-successors inside the window, per zero-forgotten anchor
-        successors: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for a_stored, a_fw in zip(window, words):
-            targets = successors.get(a_fw)
-            if targets is None:
-                targets = list(tree_successors(kind, a_fw, layers))
-                successors[a_fw] = targets
+        # the R-successors of f(alpha) in the window are f(alpha) + c for the
+        # steps () R c of length <= d - len(f(alpha)), a prefix of steps
+        steps = list(tree_successors(kind, (), layers))
+        for a_stored in window:
+            a_fw = _fw(a_stored)
+            cut = steps[:bisect_right(steps, d - len(a_fw), key=len)]
             # the obligations at k depend on k only through m = max(k, st(alpha)):
             # decide each block of k at its least k and count the rest in bulk
             for k, size in _index_blocks(len(a_stored) + 1, d):
                 members = table.members(a_stored, k)
                 for n, bi in enumerate(members):
-                    if not _rel_on_tuples(kind, a_fw, words[bi]):
+                    if not _rel_on_tuples(kind, a_fw, _fw(window[bi])):
                         report.count("forward", n + 1)
                         return report.fail({"layer": "forward",
                                             "alpha": list(a_stored), "k": k,
                                             "beta": list(window[bi])})
                 report.count("forward", len(members))
                 head = _prefix_tuple(a_stored, max(k, len(a_stored) + 1))
-                for n, target in enumerate(targets):
-                    beta = _canon(head + target[len(a_fw):])
+                for n, c in enumerate(cut):
+                    beta = _canon(head + c)
                     beta_fw = _fw(beta)
                     if not (_u_fast(kind, a_stored, a_fw, beta, beta_fw, k)
-                            and beta_fw == target):
+                            and beta_fw == a_fw + c):
                         report.count("covering", n + 1)
                         return report.fail({"layer": "covering",
                                             "alpha": list(a_stored), "k": k,
-                                            "target": list(target),
+                                            "target": list(a_fw + c),
                                             "witness": list(beta)})
                 report.count("forward", (size - 1) * len(members))
-                report.count("covering", size * len(targets))
+                report.count("covering", size * len(cut))
     return report
 
 

@@ -62,8 +62,8 @@ def reference_g_morphism(frame1, frame2, d):
             return report.fail({"layer": "surjectivity",
                                 "tagged": [list(t) for t in z.letters]})
     kinds = {1: frame1.kind, 2: frame2.kind}
-    tables = {i: omega.MembershipTable(kinds[i], omega._enumerate_stored(
-        b, d, False, omega.DEFAULT_SEQ_BUDGET)) for i, b in ((1, b1), (2, b2))}
+    tables = {i: omega.MembershipTable(kinds[i], omega._enumerate_stored(b, d))
+              for i, b in ((1, b1), (2, b2))}
     side_steps = {
         i: [(c, tuple((i, x) for x in c)) for c in tree_successors(
             kinds[i], (), word_layers(b, d, budget=omega.DEFAULT_SEQ_BUDGET))]
@@ -120,7 +120,7 @@ def reference_ff_morphism(frame, d):
         if forget_zeros(lift(w)) != w:
             return report.fail({"layer": "surjectivity", "word": list(w.letters)})
     kind = frame.kind
-    window = omega._enumerate_stored(frame.branching, d, False, omega.DEFAULT_SEQ_BUDGET)
+    window = omega._enumerate_stored(frame.branching, d)
     table = omega.MembershipTable(kind, window)
     words = [omega._fw(stored) for stored in window]
     for a_stored, a_fw in zip(window, words):
@@ -150,7 +150,7 @@ def reference_chain(frame, d, k_max, *, reverse_inclusion=False):
         lemma="chain",
         params={"kind": frame.kind.value, "branching": frame.branching, "d": d,
                 "k_max": k_max, "reverse_inclusion": reverse_inclusion})
-    window = omega._enumerate_stored(frame.branching, d, False, omega.DEFAULT_SEQ_BUDGET)
+    window = omega._enumerate_stored(frame.branching, d)
     table = omega.MembershipTable(frame.kind, window)
     for a_stored in window:
         masks = [table.mask(a_stored, k) for k in range(k_max + 1)]
@@ -175,7 +175,7 @@ def reference_axiom_evidence(frame, d):
         lemma="axiom-evidence",
         params={"kind": kind.value, "branching": frame.branching, "d": d,
                 "evidence": kinds})
-    window = omega._enumerate_stored(frame.branching, d, False, omega.DEFAULT_SEQ_BUDGET)
+    window = omega._enumerate_stored(frame.branching, d)
     table = omega.MembershipTable(kind, window)
     words = [omega._fw(stored) for stored in window]
     if "d" in kinds:
@@ -312,8 +312,10 @@ def test_axiom_evidence_matches_per_index_loop(branching):
 
 @pytest.mark.parametrize("branching", [1, 2, 3])
 def test_fractal_matches_per_pair_loop(branching):
-    for frame, left in itertools.product(_frames(branching), KINDS):
-        for depth in _depths(branching):
+    # lhs_kind None checks the law itself; every kind, the frame's own among
+    # them, is also passed explicitly
+    for frame, left in itertools.product(_frames(branching), (None, *KINDS)):
+        for depth in range(7):
             _same(check_fractal(frame, depth, lhs_kind=left),
                   reference_fractal(frame, depth, lhs_kind=left))
 

@@ -239,13 +239,15 @@ def reference_check_chr_certificate(frame1, frame2, bounds=Bounds(), valuation=N
 
 def test_certificates_match_reference():
     """The same to_dict() as the certificates on PseudoSeq members of an
-    absolute window: every kind pair, branching 1 and 2, four bounds and
-    the default, const_true, st_com and st_chr valuations. The settings
-    include accepted and rejected certificates of both axioms."""
+    absolute window: every kind pair, branching 1 and 2 at four bounds and
+    branching 3 at two (windows of at most 256 points), and the default,
+    const_true, st_com and st_chr valuations. The settings include accepted
+    and rejected certificates of both axioms."""
+    settings = [*itertools.product((1, 2), (Bounds(1, 1, 1), Bounds(3, 3, 2),
+                                            Bounds(8, 8, 4), Bounds(10, 10, 5))),
+                (3, Bounds(3, 3, 2)), (3, Bounds(8, 8, 4))]
     outcomes = set()
-    for (k1, k2), b, bounds in itertools.product(
-            PAIRS, (1, 2), (Bounds(1, 1, 1), Bounds(3, 3, 2), Bounds(8, 8, 4),
-                            Bounds(10, 10, 5))):
+    for (k1, k2), (b, bounds) in itertools.product(PAIRS, settings):
         f1, f2 = SymbolicTreeFrame(k1, b), SymbolicTreeFrame(k2, b)
         anchor = ProductPoint(zero_seq(b), zero_seq(b))
         for make in (None, const_true_valuation, st_com_valuation, st_chr_valuation):

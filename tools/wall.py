@@ -48,7 +48,7 @@ COMMANDS: tuple[tuple[str, list[str]], ...] = (
       for d in (6, 8, 10)),
     *((f"ff-morphism-rt-b2-d{d}", _cli("verify", "--lemma", "ff-morphism", "--kind",
                                        "rt", "--branching", "2", "--depth", str(d)))
-      for d in (5, 6, 7)),
+      for d in (5, 6, 7, 8)),
     *((f"g-morphism-rt-it-b2-d{d}", _cli("verify", "--lemma", "g-morphism", "--kind1",
                                          "rt", "--kind2", "it", "--branching", "2",
                                          "--depth", str(d)))
