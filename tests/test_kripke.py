@@ -1,15 +1,17 @@
 """Tree frames on words, the fused frame, and finite Kripke model checking."""
 
+import itertools
 from random import Random
 
 import pytest
 
 from nbhdprod.formula import Atom, Bottom, Box, Implies, generate_formulas, parse
 from nbhdprod.kripke import (FiniteKripkeFrame, FrameKind, SymbolicTreeFrame,
-                             check_fractal, enumerate_tagged_words, enumerate_words,
+                             _rel_on_tuples, check_fractal,
+                             enumerate_tagged_words, enumerate_words,
                              fusion_word_rel, satisfies, tagged_word,
                              tree_successors, word, word_layers, word_rel)
-from nbhdprod.report import BudgetExceeded
+from nbhdprod.report import BudgetExceeded, VerificationReport
 from nbhdprod.sampling import random_kripke_frame
 
 IN2 = SymbolicTreeFrame(FrameKind.IN, 2)
@@ -108,6 +110,37 @@ def test_fractal_negative_control():
     lhs = word_rel(IN2, word((1,), 2), word((1,), 2))
     rhs = word_rel(RN2, word((), 2), word((), 2))
     assert lhs != rhs
+
+
+def _fractal_all_pairs(frame, depth, lhs_kind=None):
+    """Reference: the all-pairs loop check_fractal replaced, visiting every
+    (a, c) pair of the window and skipping the ones longer than depth."""
+    left = frame.kind if lhs_kind is None else lhs_kind
+    report = VerificationReport(
+        lemma="fractal", params={"kind": frame.kind.value, "branching": frame.branching,
+                                 "depth": depth, "lhs_kind": left.value})
+    words = [w.letters for w in enumerate_words(frame.branching, depth)]
+    for a in words:
+        for c in words:
+            if len(a) + len(c) > depth:
+                continue
+            lhs = _rel_on_tuples(left, a, a + c)
+            rhs = _rel_on_tuples(frame.kind, (), c)
+            report.checked += 1
+            if lhs != rhs:
+                return report.fail({"a": list(a), "c": list(c), "lhs": lhs, "rhs": rhs})
+    return report
+
+
+@pytest.mark.parametrize("kind", list(FrameKind))
+@pytest.mark.parametrize("branching", [1, 2, 3])
+def test_fractal_matches_all_pairs_reference(kind, branching):
+    frame = SymbolicTreeFrame(kind, branching)
+    for depth, lhs_kind in itertools.product(range(7), [None, *FrameKind]):
+        got = check_fractal(frame, depth, lhs_kind=lhs_kind)
+        expected = _fractal_all_pairs(frame, depth, lhs_kind)
+        assert got.to_dict(include_millis=False) == \
+            expected.to_dict(include_millis=False), (depth, lhs_kind)
 
 
 @pytest.mark.parametrize("kind", list(FrameKind))
