@@ -187,10 +187,14 @@ def check_com_certificate(frame1: SymbolicTreeFrame, frame2: SymbolicTreeFrame,
                                          st_com_valuation)
 
     layer = cert.layer("antecedent", outer_m=1, inner_rule="max(st(alpha'), st(beta0))")
+    # inner_j grows with len(alpha') alone, so each inner row is read once
+    row_j, row = 0, []
     for ap in first_u(1):
         la = len(ap)
         inner_j = max(la, len(cert.anchor.second.stored)) + 1
-        for bp in second_u(inner_j):
+        if inner_j != row_j:
+            row_j, row = inner_j, second_u(inner_j)
+        for bp in row:
             layer["checked"] += 1
             if not val.rank(la, len(bp)):
                 return cert.reject({"layer": "antecedent",

@@ -10,6 +10,7 @@ which is what makes window checks on word length meaningful.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Collection, Iterable, Iterator, Mapping, Sequence
@@ -29,11 +30,18 @@ class FrameKind(Enum):
 
     @property
     def transitive(self) -> bool:
-        return self in (FrameKind.IT, FrameKind.RT)
+        return _STEP_RANGE[self][1] == math.inf
 
     @property
     def reflexive(self) -> bool:
-        return self in (FrameKind.RN, FrameKind.RT)
+        return _STEP_RANGE[self][0] == 0
+
+
+# the least and greatest length of the steps c with () R c, per kind
+_STEP_RANGE: dict[FrameKind, tuple[int, float]] = {
+    FrameKind.IN: (1, 1), FrameKind.RN: (0, 1),
+    FrameKind.IT: (1, math.inf), FrameKind.RT: (0, math.inf),
+}
 
 
 @dataclass(frozen=True)
@@ -69,15 +77,9 @@ class SymbolicTreeFrame:
 
 
 def _rel_on_tuples(kind: FrameKind, u: tuple[int, ...], v: tuple[int, ...]) -> bool:
-    extends = len(v) >= len(u) and v[:len(u)] == u
-    step = len(v) - len(u)
-    if kind is FrameKind.IN:
-        return extends and step == 1
-    if kind is FrameKind.RN:
-        return extends and step <= 1
-    if kind is FrameKind.IT:
-        return extends and step >= 1
-    return extends  # RT
+    """u R v: v extends u by a step whose length is in _STEP_RANGE[kind]."""
+    lo, hi = _STEP_RANGE[kind]
+    return lo <= len(v) - len(u) <= hi and v[:len(u)] == u
 
 
 def word_rel(frame: SymbolicTreeFrame, u: Word, v: Word) -> bool:
@@ -118,13 +120,11 @@ def tree_successors(kind: FrameKind, u: tuple[int, ...],
                     ) -> Iterator[tuple[int, ...]]:
     """The v with u R v among the words of layers (as word_layers gives
     them), in shortlex order: u + c for each c of tree_successors(kind, (),
-    layers) that fits in the room the window leaves behind u."""
-    room = len(layers) - 1 - len(u)
-    if room < 0:
-        return
-    if kind.reflexive:
-        yield u
-    for n in range(1, (room if kind.transitive else min(room, 1)) + 1):
+    layers) that fits in the room the window leaves behind u, the steps of
+    every length in the kind's _STEP_RANGE up to that room."""
+    lo, hi = _STEP_RANGE[kind]
+    # layers[0] is [()], so a reflexive kind yields u itself first
+    for n in range(lo, min(len(layers) - 1 - len(u), hi) + 1):
         for tail in layers[n]:
             yield u + tail
 

@@ -153,39 +153,30 @@ def u_contains(frame: SymbolicTreeFrame, alpha: PseudoSeq, k: int,
                    beta.stored, _fw(beta.stored), k)
 
 
-def relative_members(kind: FrameKind, center: tuple[int, ...], k: int,
-                     suffixes: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """The members of U_k(center) in the window relative to center, as stored
-    tuples: center itself, then prefix(center, max(k, st(center))) + s for
-    each nonempty canonical suffix s, in that order, each kept when it lies
-    in U_k(center). Unlike a window of bounded support, this one does not
-    thin out as k grows."""
-    center_fw = _fw(center)
-    head = _prefix_tuple(center, max(k, len(center) + 1))
-    # head + s ends in s's last entry, which is nonzero, so it is canonical;
-    # every candidate agrees with center up to max(k, st), so only the tree
-    # relation decides membership
-    return [c for c in itertools.chain((center,), (head + s for s in suffixes))
-            if _rel_on_tuples(kind, center_fw, _fw(c))]
-
-
 class MembershipTable:
     """U_k membership over one enumeration window of stored tuples.
 
     The window must be _enumerate_stored's output: every canonical tuple up
-    to its greatest length d, in shortlex order. The row of a at k is then
-    relative_members over the window's first tuples, the suffixes of length
-    <= d - m with m = max(k, st(a)), read back as window indices; they come
-    out ascending. Anchors need not lie in the window. Rows are built on
-    first use, so a sweep that stops early pays only for the anchors it
+    to its greatest length d, in shortlex order. The table keeps its steps:
+    the nonempty window tuples s of length <= d - 1 with () R f(s). A member
+    of U_k(a) other than a is prefix(a, m) + s with m = max(k, st(a)), and f
+    maps it to f(a) + f(s), so by the fractal law it is one iff s is a step.
+    The row of a at k is a itself when () R () holds, then prefix(a, m) + s
+    for each step of length <= d - m, as window indices, ascending. A
+    canonical anchor outside the window has no member in it. Rows are built
+    on first use, so a sweep that stops early pays only for the anchors it
     reached.
     """
 
     def __init__(self, kind: FrameKind, window: Sequence[tuple[int, ...]]):
-        self.kind = kind
         self.window = window
         self._index = {stored: bi for bi, stored in enumerate(window)}
         self._depth = len(window[-1])
+        # every row has m >= 1, so none reads a step longer than d - 1
+        fit = bisect_right(window, self._depth - 1, key=len)
+        self._steps = [s for s in itertools.islice(window, 1, fit)
+                       if _rel_on_tuples(kind, (), _fw(s))]
+        self._reflexive = _rel_on_tuples(kind, (), ())
         self._rows: dict[tuple[tuple[int, ...], int], list[int]] = {}
         self._masks: dict[tuple[tuple[int, ...], int], int] = {}
 
@@ -194,12 +185,17 @@ class MembershipTable:
         m = max(k, len(anchor) + 1)
         row = self._rows.get((anchor, m))
         if row is None:
-            fit = bisect_right(self.window, self._depth - m, key=len)
-            index = self._index
-            # only an anchor longer than the window can be missing from it
-            row = [index[c] for c in relative_members(
-                self.kind, anchor, m, itertools.islice(self.window, 1, fit))
-                if c in index]
+            index, steps = self._index, self._steps
+            at = index.get(anchor)
+            row = []
+            if at is not None:
+                if self._reflexive:
+                    row.append(at)
+                head = _prefix_tuple(anchor, m)
+                # head + s ends in s's last entry, which is nonzero, so it is
+                # canonical and, at length <= d, in the window
+                cut = bisect_right(steps, self._depth - m, key=len)
+                row += [index[head + s] for s in steps[:cut]]
             self._rows[(anchor, m)] = row
         return row
 

@@ -21,7 +21,7 @@ on k only through m, as U_k itself does; a fault that tells apart two k
 with the same m is outside what the block form promises. The g verdicts
 promise identical reports for faults that keep g positionwise, which
 test_interleave_is_positionwise checks exhaustively on short tuples, and
-keep every row inside its anchor's prefix cylinder, as relative_members
+keep every row inside its anchor's prefix cylinder, as MembershipTable
 builds it: a row fault that adds a member off that cylinder gives the
 member an image that depends on the pinned partner, so the row faults run
 only on the one-frame lemmas. The surjectivity layer maps every tagged word
@@ -433,13 +433,14 @@ G_FAULTS = [(_flip_u_fast, 2, 0), (_flip_u_fast, 31, 1), (_flip_u_fast, 97, 0),
             (_flip_fused, 5, 1)]
 FF_FAULTS = [(_flip_u_fast, 2, 0), (_flip_u_fast, 97, 1), (_flip_u_fast, 257, 1),
              (_flip_u_fast, 1009, 1), (_flip_rel, 5, 0), (_flip_rel, 31, 0),
-             (_flip_rel, 97, 1), (_flip_rel, 257, 1)]
+             (_flip_rel, 97, 1), (_flip_rel, 257, 1), (_flip_row, 7, 0),
+             (_flip_row, 97, 1), (_flip_row, 997, 0)]
 WINDOW_FAULTS = [(_flip_u_fast, 2, 0), (_flip_u_fast, 97, 1), (_flip_rel, 5, 0),
                  (_flip_rel, 97, 1), (_flip_rel, 257, 0), (_flip_row, 7, 0),
                  (_flip_row, 97, 1), (_flip_row, 997, 0)]
 LEX_FAULTS = [(_flip_u_fast, 2, 0), (_flip_u_fast, 3, 1), (_flip_u_fast, 7, 1),
               (_flip_u_fast, 31, 1), (_flip_rel, 2, 0), (_flip_rel, 7, 1),
-              (_flip_rel, 97, 1), (_flip_rel, 257, 0)]
+              (_flip_rel, 97, 1), (_flip_rel, 257, 2)]
 
 
 def _fault_id(fault):

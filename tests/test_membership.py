@@ -2,7 +2,7 @@
 
 The oracle builds every row by the O(N^2) sweep of pointwise u_contains over
 the window; the table must give the same member list and bitmask for every
-anchor and index, on windows of all four kinds, both branchings, unsigned
+anchor and index, on windows of all four kinds, branchings 1 to 3, unsigned
 and signed sequences, and for anchors longer than the window's support.
 """
 
@@ -15,7 +15,8 @@ from nbhdprod.omega import (MembershipTable, PseudoSeq, enumerate_pseudo,
                             u_contains)
 
 WINDOWS = ([(b, False, d) for b in (1, 2) for d in range(5)]
-           + [(b, True, d) for b in (1, 2) for d in range(4)])
+           + [(b, True, d) for b in (1, 2) for d in range(4)]
+           + [(3, False, d) for d in range(4)] + [(3, True, d) for d in range(3)])
 
 
 def oracle_mask(frame, alpha, k, window):

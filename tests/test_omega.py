@@ -12,14 +12,14 @@ import itertools
 import pytest
 
 from nbhdprod.countermodel import _zero_rows
-from nbhdprod.kripke import (FrameKind, SymbolicTreeFrame,
+from nbhdprod.kripke import (FrameKind, SymbolicTreeFrame, _rel_on_tuples,
                              enumerate_tagged_words, enumerate_words,
                              tagged_word, word, word_rel)
-from nbhdprod.omega import (ProductPoint, PseudoSeq, _enumerate_stored,
-                            axiom_evidence, check_chain,
+from nbhdprod.omega import (ProductPoint, PseudoSeq, _enumerate_stored, _fw,
+                            _prefix_tuple, axiom_evidence, check_chain,
                             enumerate_pseudo, forget_zeros, g_map, g_preimage,
                             lex_between, lex_compare, lex_window_compare, lift,
-                            prefix, product_u_contains, pseudo, relative_members,
+                            prefix, product_u_contains, pseudo,
                             strict_bounds_witnesses, u_contains,
                             verify_ff_morphism, verify_g_morphism, zero_seq)
 from nbhdprod.report import BudgetExceeded
@@ -160,6 +160,18 @@ def test_certificate_rows_are_the_absolute_rows():
         for k in range(14):
             assert rows(k) == [x.stored for x in window
                                if u_contains(frame, zero, k, x)], (kind, b, d, k)
+
+
+def relative_members(kind, center, k, suffixes):
+    """The members of U_k(center) in the window relative to center, as stored
+    tuples: center itself, then prefix(center, max(k, st(center))) + s for
+    each nonempty canonical suffix s, in that order, each kept when the tree
+    relation holds between the zero-forgotten words. Unlike a window of
+    bounded support, this one does not thin out as k grows."""
+    center_fw = _fw(center)
+    head = _prefix_tuple(center, max(k, len(center) + 1))
+    return [c for c in itertools.chain((center,), (head + s for s in suffixes))
+            if _rel_on_tuples(kind, center_fw, _fw(c))]
 
 
 def test_relative_member_lengths():

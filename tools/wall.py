@@ -59,6 +59,9 @@ COMMANDS: tuple[tuple[str, list[str]], ...] = (
     *((f"{lemma}-rt-b2-d{d}", _cli("verify", "--lemma", lemma, "--kind", "rt",
                                    "--branching", "2", "--depth", str(d)))
       for lemma in ("chain", "axiom-evidence") for d in (6, 7)),
+    *((f"chain-{kind}-b2-d9", _cli("verify", "--lemma", "chain", "--kind", kind,
+                                   "--branching", "2", "--depth", "9"))
+      for kind in ("in", "rt")),
     *((f"countermodel-{axiom}-rt-rt-b2-{bounds}", _cli(
         "countermodel", "--axiom", axiom, "--kind1", "rt", "--kind2", "rt",
         "--branching", "2", "--bounds", bounds))
