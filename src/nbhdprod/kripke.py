@@ -23,25 +23,25 @@ DEFAULT_WORD_BUDGET = 500_000
 
 
 class FrameKind(Enum):
-    IN = "in"
-    RN = "rn"
-    IT = "it"
-    RT = "rt"
+    # steps: the least and greatest length of the steps c with () R c, kept on
+    # the member, since a dict keyed by members calls Enum.__hash__ in Python
+    IN = "in", (1, 1)
+    RN = "rn", (0, 1)
+    IT = "it", (1, math.inf)
+    RT = "rt", (0, math.inf)
+
+    def __new__(cls, value: str, steps: tuple[int, float]) -> "FrameKind":
+        member = object.__new__(cls)
+        member._value_, member.steps = value, steps
+        return member
 
     @property
     def transitive(self) -> bool:
-        return _STEP_RANGE[self][1] == math.inf
+        return self.steps[1] == math.inf
 
     @property
     def reflexive(self) -> bool:
-        return _STEP_RANGE[self][0] == 0
-
-
-# the least and greatest length of the steps c with () R c, per kind
-_STEP_RANGE: dict[FrameKind, tuple[int, float]] = {
-    FrameKind.IN: (1, 1), FrameKind.RN: (0, 1),
-    FrameKind.IT: (1, math.inf), FrameKind.RT: (0, math.inf),
-}
+        return self.steps[0] == 0
 
 
 @dataclass(frozen=True)
@@ -77,8 +77,8 @@ class SymbolicTreeFrame:
 
 
 def _rel_on_tuples(kind: FrameKind, u: tuple[int, ...], v: tuple[int, ...]) -> bool:
-    """u R v: v extends u by a step whose length is in _STEP_RANGE[kind]."""
-    lo, hi = _STEP_RANGE[kind]
+    """u R v: v extends u by a step whose length is in kind.steps."""
+    lo, hi = kind.steps
     return lo <= len(v) - len(u) <= hi and v[:len(u)] == u
 
 
@@ -121,8 +121,8 @@ def tree_successors(kind: FrameKind, u: tuple[int, ...],
     """The v with u R v among the words of layers (as word_layers gives
     them), in shortlex order: u + c for each c of tree_successors(kind, (),
     layers) that fits in the room the window leaves behind u, the steps of
-    every length in the kind's _STEP_RANGE up to that room."""
-    lo, hi = _STEP_RANGE[kind]
+    every length in the kind's steps range up to that room."""
+    lo, hi = kind.steps
     # layers[0] is [()], so a reflexive kind yields u itself first
     for n in range(lo, min(len(layers) - 1 - len(u), hi) + 1):
         for tail in layers[n]:

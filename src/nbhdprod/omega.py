@@ -129,10 +129,10 @@ def enumerate_pseudo(branching: int, d: int, signed: bool = False) -> list[Pseud
 
 def _u_fast(kind: FrameKind, a_stored: tuple[int, ...], a_fw: tuple[int, ...],
             b_stored: tuple[int, ...], b_fw: tuple[int, ...], k: int) -> bool:
-    m = max(k, len(a_stored) + 1)
-    if _prefix_tuple(a_stored, m) != _prefix_tuple(b_stored, m):
-        return False
-    return _rel_on_tuples(kind, a_fw, b_fw)
+    # a_stored is canonical: b_stored agrees up to max(k, st) iff it is a_stored, then 0s
+    n = len(a_stored)
+    return b_stored[:n] == a_stored and not any(b_stored[n:max(k, n + 1)]) \
+        and _rel_on_tuples(kind, a_fw, b_fw)
 
 
 def _fw(stored: tuple[int, ...]) -> tuple[int, ...]:
@@ -404,6 +404,10 @@ class ProductPoint:
 
 
 def _interleave(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    if not b:
+        return tuple([(1, x) for x in a if x])
+    if not a:
+        return tuple([(2, y) for y in b if y])
     letters: list[tuple[int, int]] = []
     for x, y in itertools.zip_longest(a, b, fillvalue=0):
         if x:
@@ -460,6 +464,9 @@ def verify_g_morphism(frame1: SymbolicTreeFrame, frame2: SymbolicTreeFrame,
 
     The base-set index m ranges over max(st(first), st(second)) + 1 .. d; the
     interleave only splits cleanly past the stabilization of both coordinates.
+    Each (side, anchor, m) is decided once; a pass counts once per partner of
+    length <= m - 2, and only the first alpha that meets a failure is walked
+    point by point, so the report is that of the loop over every point.
     """
     b1, b2 = frame1.branching, frame2.branching
     with VerificationReport(
@@ -467,24 +474,29 @@ def verify_g_morphism(frame1: SymbolicTreeFrame, frame2: SymbolicTreeFrame,
             params={"kind1": frame1.kind.value, "kind2": frame2.kind.value,
                     "branching1": b1, "branching2": b2, "d": d,
                     "layers": dict.fromkeys(_MORPHISM_LAYERS, 0)}) as report:
-        # g(g_preimage(z)) == z on the raw letter tuples of each tagged word;
-        # the words are only referenced by the loop, so they go with it
-        checked = 0
-        for z in itertools.chain.from_iterable(
-                tagged_word_layers(b1, b2, d, budget=DEFAULT_SEQ_BUDGET)):
-            checked += 1
-            first = _canon(tuple(x if side == 1 else 0 for side, x in z))
-            second = _canon(tuple(x if side == 2 else 0 for side, x in z))
-            if _interleave(first, second) != z:
-                report.count("surjectivity", checked)
-                return report.fail({"layer": "surjectivity",
-                                    "tagged": [list(t) for t in z]})
+        # g(g_preimage(z)) == z on raw letter tuples; a layer's coordinates
+        # extend the last layer's as its words do, and the deepest are not kept
+        layers = tagged_word_layers(b1, b2, d, budget=DEFAULT_SEQ_BUDGET)
+        tails = [((x,), (0,)) if side == 1 else ((0,), (x,))
+                 for (side, x), in itertools.chain(*layers[1:2])]
+        firsts, seconds, checked = [()], [()], 0
+        for n, layer in enumerate(layers):
+            if n:
+                keep = list if n < d else iter
+                firsts = keep(f + t for f in firsts for t, _ in tails)
+                seconds = keep(s + t for s in seconds for _, t in tails)
+            for z, first, second in zip(layer, firsts, seconds):
+                checked += 1
+                if _interleave(_canon(first), _canon(second)) != z:
+                    report.count("surjectivity", checked)
+                    return report.fail({"layer": "surjectivity",
+                                        "tagged": [list(t) for t in z]})
         report.count("surjectivity", checked)
+        del layers, layer  # the last layer outlives the loop in layer
         kinds = {1: frame1.kind, 2: frame2.kind}
         tables = {1: MembershipTable(frame1.kind, _enumerate_stored(b1, d)),
                   2: MembershipTable(frame2.kind, _enumerate_stored(b2, d))}
-        # successor words () R c per side, inside the window, with their
-        # tagged forms
+        # the steps () R c per side, inside the window, with their tagged forms
         side_steps = {
             i: [(c, tuple((i, x) for x in c)) for c in tree_successors(
                 kinds[i], (), word_layers(branching, d, budget=DEFAULT_SEQ_BUDGET))]
@@ -494,14 +506,13 @@ def verify_g_morphism(frame1: SymbolicTreeFrame, frame2: SymbolicTreeFrame,
             """g of the point with x on side i and zero on the other side."""
             return _interleave(x, ()) if i == 1 else _interleave((), x)
 
-        # (side, anchor, m) -> (U_m(anchor) as window indices, the index of
-        # its first member x without g(anchor) R_i g(x), the index of the
-        # first step c whose witness prefix(anchor, m) + c leaves U_m(anchor)
-        # or does not map to g(anchor) + c tagged), each decided with the
-        # pinned coordinate zero; an index past the end means nothing fails.
-        # g maps position by position, every member and witness agrees with
-        # the anchor up to m, and every pinned partner at m is zero from m
-        # on, so these are the verdicts of every point that meets the block.
+        # (side, anchor, m) -> (U_m(anchor) as window indices, the index of its
+        # first member x without g(anchor) R_i g(x), the index of the first step
+        # c whose witness prefix(anchor, m) + c leaves U_m(anchor) or does not
+        # map to g(anchor) + c tagged; past the end if none fails), decided with
+        # the pinned coordinate zero. g maps position by position, every member
+        # and witness agrees with the anchor up to m, and every pinned partner
+        # at m is zero from m on, so this is the verdict of every point there.
         verdicts: dict[tuple[int, tuple[int, ...], int],
                        tuple[list[int], int, int]] = {}
 
@@ -516,13 +527,17 @@ def verify_g_morphism(frame1: SymbolicTreeFrame, frame2: SymbolicTreeFrame,
                 head = _prefix_tuple(anchor, m)
                 covering = len(steps)
                 for j, (c, tagged) in enumerate(steps):
-                    x = _canon(head + c)
+                    x = head + c if c else anchor  # canonical: c ends in a letter
                     if not (_u_fast(kind, anchor, anchor_fw, x, _fw(x), m)
                             and alone(i, x) == image + tagged):
                         covering = j
                         break
                 hit = verdicts[(i, anchor, m)] = row, forward, covering
             return hit
+
+        def passes(i: int, anchor: tuple[int, ...]) -> bool:
+            return all((f, c) == (len(row), len(side_steps[i])) for row, f, c in (
+                verdict(i, anchor, m) for m in range(len(anchor) + 2, d + 1)))
 
         def point(a: tuple[int, ...], b: tuple[int, ...]) -> dict[str, list[int]]:
             return {"first": list(a), "second": list(b)}
@@ -531,10 +546,20 @@ def verify_g_morphism(frame1: SymbolicTreeFrame, frame2: SymbolicTreeFrame,
         # shortlex prefix of each window
         inner = {i: list(itertools.takewhile(lambda s: len(s) + 2 <= d,
                                              tables[i].window)) for i in (1, 2)}
-        for alpha in inner[1]:
+        # a side-2 verdict meets alpha = (), a side-1 verdict its own alpha
+        # only, and the partners at m, of length <= m - 2, lead their window
+        stop = 0 if not all(passes(2, beta) for beta in inner[2]) else next(
+            (n for n, alpha in enumerate(inner[1]) if not passes(1, alpha)), len(inner[1]))
+        for i, anchors, cap in ((1, inner[1][:stop], len(inner[2])),
+                                (2, inner[2] if stop else [], stop)):
+            for anchor in anchors:
+                for m in range(len(anchor) + 2, d + 1):
+                    times = min(cap, bisect_right(inner[3 - i], m - 2, key=len))
+                    report.count("forward", times * len(verdict(i, anchor, m)[0]))
+                    report.count("covering", times * len(side_steps[i]))
+        for alpha in inner[1][stop:stop + 1]:
             for beta in inner[2]:
-                lo = max(len(alpha), len(beta)) + 2  # max(st(alpha), st(beta)) + 1
-                for m in range(lo, d + 1):
+                for m in range(max(len(alpha), len(beta)) + 2, d + 1):
                     for i in (1, 2):
                         anchor = alpha if i == 1 else beta
                         row, forward, covering = verdict(i, anchor, m)

@@ -1,8 +1,10 @@
 """Block-decided window checks against the per-obligation loops they replace.
 
 verify_g_morphism decides the forward row and the covering witnesses of
-each (side, anchor, m) once, with the pinned coordinate zero, and checks
-surjectivity on raw letter tuples; verify_ff_morphism, check_chain and
+each (side, anchor, m) once, with the pinned coordinate zero, counts a
+passing verdict once per pinned partner and walks point by point only the
+first alpha that meets a failing one, and checks surjectivity on raw letter
+tuples built layer by layer; verify_ff_morphism, check_chain and
 axiom_evidence decide the obligations of every index that shares
 m = max(k, st(alpha)) once; check_fractal decides () R c once per c; and the
 lex suite runs all its centers on one shared window. The loops kept here
@@ -26,6 +28,11 @@ builds it: a row fault that adds a member off that cylinder gives the
 member an image that depends on the pinned partner, so the row faults run
 only on the one-frame lemmas. The surjectivity layer maps every tagged word
 whole, so it fails where the reference does under any interleave fault.
+_flip_anchor fails one anchor's verdict on frames of one kind, so where
+the two kinds differ the first failure lands after alpha blocks counted in
+bulk. An interleave that swaps two letters of a one-sided image is not
+positionwise; its test asserts only that the covering layer, which
+compares whole images, fails.
 """
 
 import itertools
@@ -425,6 +432,18 @@ def _flip_interleave(monkeypatch, rate, salt):
     monkeypatch.setattr(omega, "_interleave", faulty)
 
 
+def _flip_anchor(monkeypatch, kind, anchor, m):
+    """Flip U_m(anchor) membership on frames of one kind, at that one anchor
+    and index only."""
+    real = omega._u_fast
+
+    def faulty(kind_, a_stored, a_fw, b_stored, b_fw, k):
+        flip = kind_ is kind and a_stored == anchor and max(k, len(a_stored) + 1) == m
+        return real(kind_, a_stored, a_fw, b_stored, b_fw, k) != flip
+
+    monkeypatch.setattr(omega, "_u_fast", faulty)
+
+
 # (injector, rate, salt) per check: each fault makes some of its runs fail,
 # dense ones at the first obligations, sparse ones deep into the window
 G_FAULTS = [(_flip_u_fast, 2, 0), (_flip_u_fast, 31, 1), (_flip_u_fast, 97, 0),
@@ -510,6 +529,23 @@ def test_g_surjectivity_matches_under_faults(monkeypatch, fault):
         assert got.counterexample["layer"] == "surjectivity"
 
 
+@pytest.mark.parametrize("pair", ["rt-it", "it-rt", "in-rn", "rt-rt"])
+def test_g_bulk_count_matches_past_the_first_block(monkeypatch, pair):
+    # the fault fails the first side's verdict at (2, 2), m = 5, alone when
+    # the kinds differ: the alpha blocks before (2, 2) are counted in bulk
+    # and the failing one walked. On rt-rt it fails the second side's too,
+    # which meets alpha = (), so the first block is the one walked
+    kind1, kind2 = (FrameKind(value) for value in pair.split("-"))
+    _flip_anchor(monkeypatch, kind1, (2, 2), 5)
+    frame1, frame2 = SymbolicTreeFrame(kind1, 2), SymbolicTreeFrame(kind2, 2)
+    got = verify_g_morphism(frame1, frame2, 5)
+    _same(got, reference_g_morphism(frame1, frame2, 5))
+    assert got.counterexample["layer"] == "covering"
+    assert got.counterexample["point"] == ({"first": [], "second": [2, 2]}
+                                           if kind1 is kind2 else
+                                           {"first": [2, 2], "second": []})
+
+
 @pytest.mark.parametrize("fault", LEX_FAULTS, ids=_fault_id)
 def test_lex_suite_matches_under_faults(monkeypatch, fault):
     inject, rate, salt = fault
@@ -584,6 +620,34 @@ def test_g_blocks_fall_back_to_whole_witnesses():
     assert positionwise_violation(_marking) is not None
     assert _g_parity_under(_marking, flip=False) == 0
     assert _g_parity_under(_marking, flip=True) == 32
+
+
+def _swapping(a, b):
+    """g that swaps the last two letters of a one-sided image whose side
+    holds a zero, wherever the hash of the pair hits: the image keeps its
+    length and its letters, and surjectivity, which maps only canonical
+    coordinates, never sees it, since a one-sided word has no zero."""
+    out = _interleave(a, b)
+    if not (a and b) and 0 in a + b and hash((0, a, b)) % 7 == 0:
+        return out[:-2] + out[-2:][::-1]
+    return out
+
+
+def test_g_covering_compares_whole_images(monkeypatch):
+    # a covering witness prefix(anchor, m) + c holds zeros whenever the
+    # anchor is shorter than m, so the swap reaches the covering layer and
+    # only a comparison of the whole image with g(anchor) + c catches it.
+    # The fault is not positionwise, so parity with the reference is not
+    # promised; only the failures are asserted
+    monkeypatch.setattr(omega, "_interleave", _swapping)
+    layers = []
+    for kind1, kind2 in itertools.product(KINDS, KINDS):
+        frame1, frame2 = SymbolicTreeFrame(kind1, 2), SymbolicTreeFrame(kind2, 2)
+        for d in (3, 4):
+            got = verify_g_morphism(frame1, frame2, d)
+            if not got.passed:
+                layers.append(got.counterexample["layer"])
+    assert layers == ["covering"] * 28
 
 
 def test_positionwise_check_catches_a_position_dependent_interleave():

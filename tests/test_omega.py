@@ -16,7 +16,8 @@ from nbhdprod.kripke import (FrameKind, SymbolicTreeFrame, _rel_on_tuples,
                              enumerate_tagged_words, enumerate_words,
                              tagged_word, word, word_rel)
 from nbhdprod.omega import (ProductPoint, PseudoSeq, _enumerate_stored, _fw,
-                            _prefix_tuple, axiom_evidence, check_chain,
+                            _interleave, _prefix_tuple, _u_fast, axiom_evidence,
+                            check_chain,
                             enumerate_pseudo, forget_zeros, g_map, g_preimage,
                             lex_between, lex_compare, lex_window_compare, lift,
                             prefix, product_u_contains, pseudo,
@@ -126,6 +127,21 @@ def test_u_contains_matches_oracle():
             for k in range(5):
                 assert u_contains(frame, alpha, k, beta) == \
                     u_oracle(frame, alpha, k, beta)
+
+
+@pytest.mark.parametrize("branching", [1, 2, 3])
+def test_u_fast_matches_definition(branching):
+    # the window at the greatest d holds those of every smaller d, so its
+    # pairs at k = 0 .. d + 2 cover every smaller window's
+    for signed, d in ((False, 3), (True, 2)):
+        window = _enumerate_stored(branching, d, signed)
+        for kind, a, b in itertools.product(FrameKind, window, window):
+            a_fw, b_fw = _fw(a), _fw(b)
+            for k in range(d + 3):
+                m = max(k, len(a) + 1)
+                assert _u_fast(kind, a, a_fw, b, b_fw, k) == (
+                    _prefix_tuple(a, m) == _prefix_tuple(b, m)
+                    and _rel_on_tuples(kind, a_fw, b_fw)), (kind, a, b, k)
 
 
 def test_u_contains_pins():
@@ -273,6 +289,25 @@ def test_g_map_pins():
     back = g_preimage(z)
     assert back == p
     assert g_map(ProductPoint(zero_seq(2), zero_seq(2))).letters == ()
+
+
+def interleave_oracle(a, b):
+    """g position by position: the side-1 letter, then the side-2 letter,
+    zeros dropped."""
+    letters = []
+    for x, y in itertools.zip_longest(a, b, fillvalue=0):
+        if x:
+            letters.append((1, x))
+        if y:
+            letters.append((2, y))
+    return tuple(letters)
+
+
+def test_interleave_matches_positionwise_loop():
+    # one-sided images take their own path, so both empty sides are covered
+    tuples = [t for n in range(5) for t in itertools.product((0, 1, 2), repeat=n)]
+    for a, b in itertools.product(tuples, tuples):
+        assert _interleave(a, b) == interleave_oracle(a, b), (a, b)
 
 
 def test_g_surjectivity_direction_only():

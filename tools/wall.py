@@ -6,9 +6,12 @@
 Run it with the interpreter that has the test extra (pytest, hypothesis).
 Each command runs three times in a fresh interpreter, with the checkout as
 working directory and its src/ first on PYTHONPATH; stdout is discarded
-and a nonzero exit stops the measurement. With --parent the
-two checkouts take turns run by run, so a slow stretch of a shared host
-hits both. Progress goes to stderr; stdout is one JSON object holding the
+and a nonzero exit stops the measurement. Each checkout reads and writes
+bytecode under its own fresh PYTHONPYCACHEPREFIX, with
+PYTHONDONTWRITEBYTECODE dropped, so both compile every module once, the
+standard library's too, whatever __pycache__ folders they hold. With
+--parent the two checkouts take turns run by run, so a slow stretch of a
+shared host hits both. Progress goes to stderr; stdout is one JSON object holding the
 env fields that bench/run.py prints (python, nproc, platform, and per
 checkout git_commit and src_sha256) and, per command, its argv and, per
 checkout, the median seconds and the median peak RSS in MB (the child's
@@ -90,9 +93,10 @@ def checkout_env(root: str) -> dict[str, str]:
     return {"git_commit": commit, "src_sha256": digest.hexdigest()[:16]}
 
 
-def run_once(root: str, argv: list[str]) -> tuple[float, float]:
-    """Wall seconds and peak RSS in MB of one run."""
-    env = dict(os.environ)
+def run_once(root: str, argv: list[str], pycache: str) -> tuple[float, float]:
+    """Wall seconds and peak RSS in MB of one run, with bytecode under pycache."""
+    env = dict(os.environ, PYTHONPYCACHEPREFIX=pycache)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
     src = os.path.join(root, "src")
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"]
                                if env.get("PYTHONPATH") else "")
@@ -111,13 +115,13 @@ def run_once(root: str, argv: list[str]) -> tuple[float, float]:
     return seconds, usage.ru_maxrss / 1024.0
 
 
-def measure(roots: dict[str, str]) -> list[dict[str, Any]]:
+def measure(roots: dict[str, str], cache: str) -> list[dict[str, Any]]:
     rows = []
     for name, argv in COMMANDS:
         runs: dict[str, list[tuple[float, float]]] = {label: [] for label in roots}
         for _ in range(REPEATS):
             for label, root in roots.items():
-                runs[label].append(run_once(root, argv))
+                runs[label].append(run_once(root, argv, os.path.join(cache, label)))
         row: dict[str, Any] = {"name": name, "argv": argv}
         for label in roots:
             seconds, rss_mb = zip(*runs[label])
@@ -135,13 +139,15 @@ def main() -> None:
     roots = {"change": ROOT}
     if args.parent:
         roots = {"parent": os.path.abspath(args.parent), "change": ROOT}
-    out = {
-        "harness": "tools/wall.py", "repeats": REPEATS, "statistic": "median",
-        "env": {"python": platform.python_version(), "nproc": os.cpu_count(),
-                "platform": platform.platform(),
-                "checkouts": {label: checkout_env(root) for label, root in roots.items()}},
-        "commands": measure(roots),
-    }
+    with tempfile.TemporaryDirectory() as cache:
+        out = {
+            "harness": "tools/wall.py", "repeats": REPEATS, "statistic": "median",
+            "env": {"python": platform.python_version(), "nproc": os.cpu_count(),
+                    "platform": platform.platform(),
+                    "checkouts": {label: checkout_env(root)
+                                  for label, root in roots.items()}},
+            "commands": measure(roots, cache),
+        }
     print(json.dumps(out, indent=2))
 
 
