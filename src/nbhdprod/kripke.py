@@ -24,15 +24,16 @@ DEFAULT_WORD_BUDGET = 500_000
 
 class FrameKind(Enum):
     # steps: the least and greatest length of the steps c with () R c, kept on
-    # the member, since a dict keyed by members calls Enum.__hash__ in Python
-    IN = "in", (1, 1)
-    RN = "rn", (0, 1)
-    IT = "it", (1, math.inf)
-    RT = "rt", (0, math.inf)
+    # the member, since a dict keyed by members calls Enum.__hash__ in Python;
+    # logic: the key in formula.LOGICS of the logic the kind's frames validate
+    IN = "in", (1, 1), "D"
+    RN = "rn", (0, 1), "T"
+    IT = "it", (1, math.inf), "D4"
+    RT = "rt", (0, math.inf), "S4"
 
-    def __new__(cls, value: str, steps: tuple[int, float]) -> "FrameKind":
+    def __new__(cls, value: str, steps: tuple[int, float], logic: str) -> "FrameKind":
         member = object.__new__(cls)
-        member._value_, member.steps = value, steps
+        member._value_, member.steps, member.logic = value, steps, logic
         return member
 
     @property
@@ -98,16 +99,14 @@ def word_layers(branching: int, depth: int, *,
                 budget: int = DEFAULT_WORD_BUDGET) -> list[list[tuple[int, ...]]]:
     """The letter tuples of enumerate_words, one list per length: layers[n]
     holds the words of length n in lexicographic order."""
-    what = f"words of length <= {depth} at branching {branching}"
-    return _shortlex(range(1, branching + 1), branching, depth, budget, what)
+    check_window(f"words of length <= {depth} at branching {branching}",
+                 branching, branching, depth, budget)
+    return _shortlex(range(1, branching + 1), depth)
 
 
-def _shortlex(letters: Iterable[Any], size: int, depth: int, budget: int,
-              what: str) -> list[list[tuple[Any, ...]]]:
-    """All tuples of length <= depth over the size letters, one lexicographic
-    list per length. Their count is checked against budget before the
-    letters are read."""
-    check_window(what, size, size, depth, budget)
+def _shortlex(letters: Iterable[Any], depth: int) -> list[list[tuple[Any, ...]]]:
+    """All tuples of length <= depth over letters, one lexicographic list
+    per length; the caller checks their count against its budget first."""
     alphabet = tuple(letters) if depth > 0 else ()
     layers: list[list[tuple[Any, ...]]] = [[()]]
     for _ in range(depth):
@@ -204,9 +203,16 @@ def tagged_word_layers(b1: int, b2: int, depth: int, *,
                        budget: int = DEFAULT_WORD_BUDGET
                        ) -> list[list[tuple[tuple[int, int], ...]]]:
     """The letter tuples of enumerate_tagged_words, one list per length."""
-    letters = ((side, x) for side, b in ((1, b1), (2, b2)) for x in range(1, b + 1))
-    what = f"tagged words of length <= {depth} at branchings {b1} and {b2}"
-    return _shortlex(letters, b1 + b2, depth, budget, what)
+    return _shortlex(tagged_letters(b1, b2, depth, budget=budget), depth)
+
+
+def tagged_letters(b1: int, b2: int, depth: int, *,
+                   budget: int = DEFAULT_WORD_BUDGET) -> list[tuple[int, int]]:
+    """The letters of the tagged words, side 1's before side 2's, once the
+    window of tagged words of length <= depth is checked against budget."""
+    check_window(f"tagged words of length <= {depth} at branchings {b1} and {b2}",
+                 b1 + b2, b1 + b2, depth, budget)
+    return [(side, x) for side, b in ((1, b1), (2, b2)) for x in range(1, b + 1)]
 
 
 def fusion_word_rel(frame1: SymbolicTreeFrame, frame2: SymbolicTreeFrame,

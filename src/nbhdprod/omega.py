@@ -23,8 +23,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Sequence
 
+from .formula import LOGICS
 from .kripke import (FrameKind, SymbolicTreeFrame, TaggedWord, Word,
-                     _fusion_rel_on_tuples, _rel_on_tuples, tagged_word_layers,
+                     _fusion_rel_on_tuples, _rel_on_tuples, tagged_letters,
                      tree_successors, word_layers)
 from .report import VerificationReport, check_window
 
@@ -163,9 +164,9 @@ class MembershipTable:
     maps it to f(a) + f(s), so by the fractal law it is one iff s is a step.
     The row of a at k is a itself when () R () holds, then prefix(a, m) + s
     for each step of length <= d - m, as window indices, ascending. A
-    canonical anchor outside the window has no member in it. Rows are built
-    on first use, so a sweep that stops early pays only for the anchors it
-    reached.
+    canonical anchor outside the window has no member in it. The table
+    keeps no row: each call builds its row from the steps, which costs the
+    row's members, and a caller that reads a row again keeps it itself.
     """
 
     def __init__(self, kind: FrameKind, window: Sequence[tuple[int, ...]]):
@@ -177,38 +178,33 @@ class MembershipTable:
         self._steps = [s for s in itertools.islice(window, 1, fit)
                        if _rel_on_tuples(kind, (), _fw(s))]
         self._reflexive = _rel_on_tuples(kind, (), ())
-        self._rows: dict[tuple[tuple[int, ...], int], list[int]] = {}
-        self._masks: dict[tuple[tuple[int, ...], int], int] = {}
 
     def members(self, anchor: tuple[int, ...], k: int) -> list[int]:
         """Window indices of U_k(anchor), ascending."""
+        index, steps = self._index, self._steps
+        at = index.get(anchor)
+        if at is None:
+            return []
         m = max(k, len(anchor) + 1)
-        row = self._rows.get((anchor, m))
-        if row is None:
-            index, steps = self._index, self._steps
-            at = index.get(anchor)
-            row = []
-            if at is not None:
-                if self._reflexive:
-                    row.append(at)
-                head = _prefix_tuple(anchor, m)
-                # head + s ends in s's last entry, which is nonzero, so it is
-                # canonical and, at length <= d, in the window
-                cut = bisect_right(steps, self._depth - m, key=len)
-                row += [index[head + s] for s in steps[:cut]]
-            self._rows[(anchor, m)] = row
+        head = _prefix_tuple(anchor, m)
+        # head + s ends in s's last entry, which is nonzero, so it is
+        # canonical and, at length <= d, in the window
+        cut = bisect_right(steps, self._depth - m, key=len)
+        row = [at] if self._reflexive else []
+        row += [index[head + s] for s in steps[:cut]]
         return row
 
     def mask(self, anchor: tuple[int, ...], k: int) -> int:
         """U_k(anchor) as a bitmask over window indices."""
-        key = (anchor, max(k, len(anchor) + 1))
-        mask = self._masks.get(key)
-        if mask is None:
-            mask = 0
-            for bi in self.members(anchor, k):
-                mask |= 1 << bi
-            self._masks[key] = mask
-        return mask
+        return _mask(self.members(anchor, k))
+
+
+def _mask(row: Iterable[int]) -> int:
+    """The bitmask with the bits of row set."""
+    mask = 0
+    for bi in row:
+        mask |= 1 << bi
+    return mask
 
 
 def _index_blocks(st: int, k_max: int) -> list[tuple[int, int]]:
@@ -326,16 +322,9 @@ def verify_ff_morphism(frame: SymbolicTreeFrame, d: int) -> VerificationReport:
     return report
 
 
-_EVIDENCE_KINDS: dict[str, tuple[FrameKind, ...]] = {
-    "d": (FrameKind.IN, FrameKind.IT),
-    "t": (FrameKind.RN, FrameKind.RT),
-    "four": (FrameKind.IT, FrameKind.RT),
-}
-
-
 def axiom_evidence(frame: SymbolicTreeFrame, d: int) -> VerificationReport:
-    """Window evidence that the U_k families validate the structural axioms
-    the frame kind promises (_EVIDENCE_KINDS):
+    """Window evidence that the U_k families validate the defining axioms of
+    the frame kind's logic (formula.LOGICS[kind.logic]):
 
     d     every U_k(alpha) owns the member prefix + letter 1 (nonempty);
     t     alpha itself is in every U_k(alpha) (reflexive kinds);
@@ -348,7 +337,7 @@ def axiom_evidence(frame: SymbolicTreeFrame, d: int) -> VerificationReport:
     at its least index, and the rest of the block counted in bulk. checked
     and the first counterexample are those of the loop over every index.
     """
-    kinds = [name for name, ks in _EVIDENCE_KINDS.items() if frame.kind in ks]
+    kinds = [scheme.value.lower() for scheme in LOGICS[frame.kind.logic]]
     with VerificationReport(
             lemma="axiom-evidence",
             params={"kind": frame.kind.value, "branching": frame.branching, "d": d,
@@ -377,13 +366,12 @@ def axiom_evidence(frame: SymbolicTreeFrame, d: int) -> VerificationReport:
             for a_stored in window:
                 for m, size in _index_blocks(len(a_stored) + 1, d):
                     big_m = max(m, len(a_stored) + 1)
-                    members = table.mask(a_stored, m)
                     ys = table.members(a_stored, m)
+                    members = _mask(ys)
                     # highest window index first
                     for n, yi in enumerate(reversed(ys)):
                         y_stored = window[yi]
-                        stray = table.mask(y_stored, max(big_m, len(y_stored) + 1)) \
-                            & ~members
+                        stray = table.mask(y_stored, big_m) & ~members
                         if stray:
                             report.checked += n + 1
                             bi = stray.bit_length() - 1
@@ -474,25 +462,24 @@ def verify_g_morphism(frame1: SymbolicTreeFrame, frame2: SymbolicTreeFrame,
             params={"kind1": frame1.kind.value, "kind2": frame2.kind.value,
                     "branching1": b1, "branching2": b2, "d": d,
                     "layers": dict.fromkeys(_MORPHISM_LAYERS, 0)}) as report:
-        # g(g_preimage(z)) == z on raw letter tuples; a layer's coordinates
-        # extend the last layer's as its words do, and the deepest are not kept
-        layers = tagged_word_layers(b1, b2, d, budget=DEFAULT_SEQ_BUDGET)
-        tails = [((x,), (0,)) if side == 1 else ((0,), (x,))
-                 for (side, x), in itertools.chain(*layers[1:2])]
-        firsts, seconds, checked = [()], [()], 0
-        for n, layer in enumerate(layers):
+        # g(g_preimage(z)) == z on raw letter tuples, in shortlex order: each
+        # tagged word and its two coordinates extend one of the last layer's
+        # by one letter, only that layer is kept, and the deepest streams
+        tails = [(((side, x),), (x if side == 1 else 0,), (0 if side == 1 else x,))
+                 for side, x in tagged_letters(b1, b2, d, budget=DEFAULT_SEQ_BUDGET)]
+        layer: Iterable[tuple[tuple[Any, ...], ...]] = [((), (), ())]
+        checked = 0
+        for n in range(max(d, 0) + 1):
             if n:
-                keep = list if n < d else iter
-                firsts = keep(f + t for f in firsts for t, _ in tails)
-                seconds = keep(s + t for s in seconds for _, t in tails)
-            for z, first, second in zip(layer, firsts, seconds):
+                layer = (list if n < d else iter)(
+                    (z + t, f + tf, s + ts) for z, f, s in layer for t, tf, ts in tails)
+            for z, first, second in layer:
                 checked += 1
                 if _interleave(_canon(first), _canon(second)) != z:
                     report.count("surjectivity", checked)
                     return report.fail({"layer": "surjectivity",
                                         "tagged": [list(t) for t in z]})
         report.count("surjectivity", checked)
-        del layers, layer  # the last layer outlives the loop in layer
         kinds = {1: frame1.kind, 2: frame2.kind}
         tables = {1: MembershipTable(frame1.kind, _enumerate_stored(b1, d)),
                   2: MembershipTable(frame2.kind, _enumerate_stored(b2, d))}

@@ -62,11 +62,11 @@ def random_nframe(rng: Random, max_worlds: int = 3,
     return FiniteNFrame(worlds, {1: per_world})
 
 
+# the frame condition each defining axiom of a logic in LOGICS asks for
 _CLOSE_FOR = {
-    "D": ("serial",),
-    "T": ("reflexive",),
-    "D4": ("serial", "transitive"),
-    "S4": ("reflexive", "transitive"),
+    AxiomScheme.D: "serial",
+    AxiomScheme.T: "reflexive",
+    AxiomScheme.FOUR: "transitive",
 }
 
 
@@ -74,18 +74,19 @@ def random_nframe_validating(rng: Random, logic: str,
                              max_worlds: int = 3) -> FiniteNFrame:
     """A unimodal frame validating the logic's defining axioms, built by
     closing a random relation and taking its neighborhood frame."""
-    if logic not in _CLOSE_FOR:
+    if logic not in LOGICS:
         raise ValueError(f"unknown logic {logic!r}")
+    close = {_CLOSE_FOR[scheme] for scheme in LOGICS[logic]}
     n = rng.randint(1, max_worlds)
     worlds = tuple(f"w{i}" for i in range(n))
     pairs = {(a, b) for a in worlds for b in worlds if rng.random() < 0.4}
-    if "reflexive" in _CLOSE_FOR[logic]:
+    if "reflexive" in close:
         pairs |= {(w, w) for w in worlds}
-    if "serial" in _CLOSE_FOR[logic]:
+    if "serial" in close:
         for w in worlds:
             if not any(a == w for a, _ in pairs):
                 pairs.add((w, rng.choice(worlds)))
-    if "transitive" in _CLOSE_FOR[logic]:
+    if "transitive" in close:
         changed = True
         while changed:
             changed = False

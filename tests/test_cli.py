@@ -241,6 +241,13 @@ def test_verify_budget_marker(capsys):
         assert "exceeds budget" in message and len(message) < 200, argv
 
 
+def test_g_morphism_budget_message(capsys):
+    code, out, err = run_cli(capsys, "verify", "--lemma", "g-morphism", "--depth", "20")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"budget": "window of tagged words of length <= 20 at "
+                                         "branchings 2 and 2 exceeds budget 2000000"}
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "--lemma", "chain", "--branching", "3000000", "--depth", "1"),
     ("tree", "--branching", "3000000", "--depth", "1"),

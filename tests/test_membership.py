@@ -43,11 +43,22 @@ def test_rows_match_pointwise_sweep(kind, branching, signed, d):
             [bi for bi in range(len(window)) if expected >> bi & 1], (alpha, k)
 
 
-def test_rows_are_cached_per_stabilized_index():
+def test_rows_are_one_per_stabilized_index():
+    table = MembershipTable(FrameKind.RT, [x.stored for x in enumerate_pseudo(2, 4)])
+    # st((1, 2)) = 3, so every k <= 3 names the same row, and k = 4 a shorter one
+    rows = [table.members((1, 2), k) for k in range(4)]
+    assert rows == [rows[0]] * 4 and rows[0]
+    assert table.members((1, 2), 4) != rows[0]
+
+
+def test_rows_are_fresh_lists():
     table = MembershipTable(FrameKind.RT, [x.stored for x in enumerate_pseudo(2, 3)])
-    # st((1, 2)) = 3, so every k <= 3 names the same row
-    assert table.members((1, 2), 0) is table.members((1, 2), 3)
-    assert table.members((1, 2), 4) is not table.members((1, 2), 3)
+    row = table.members((1,), 2)
+    expected = list(row)
+    row.append(-1)
+    row[0] = -2
+    assert table.members((1,), 2) == expected
+    assert table.mask((1,), 2) == sum(1 << bi for bi in expected)
 
 
 def test_empty_rows():

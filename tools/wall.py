@@ -65,6 +65,9 @@ COMMANDS: tuple[tuple[str, list[str]], ...] = (
     *((f"chain-{kind}-b2-d9", _cli("verify", "--lemma", "chain", "--kind", kind,
                                    "--branching", "2", "--depth", "9"))
       for kind in ("in", "rt")),
+    *((f"{lemma}-rt-b2-d10", _cli("verify", "--lemma", lemma, "--kind", "rt",
+                                  "--branching", "2", "--depth", "10"))
+      for lemma in ("chain", "axiom-evidence")),
     *((f"countermodel-{axiom}-rt-rt-b2-{bounds}", _cli(
         "countermodel", "--axiom", axiom, "--kind1", "rt", "--kind2", "rt",
         "--branching", "2", "--bounds", bounds))
