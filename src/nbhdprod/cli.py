@@ -21,7 +21,7 @@ from typing import Any, Callable, Mapping, Sequence
 from .countermodel import (Bounds, check_chr_certificate, check_com_certificate)
 from .formula import ParseError, atoms, modal_depth, parse, unparse
 from .kripke import (FiniteKripkeFrame, FrameKind, SymbolicTreeFrame,
-                     check_fractal, tree_successors, word_layers)
+                     check_fractal, tree_pairs, tree_successors, word_layers)
 from .nbhd import (FiniteNFrame, FiniteNModel, denotation, nof, product_n,
                    satisfies, structural_characteristics, valid_on_frame)
 from .omega import (axiom_evidence, check_chain, lex_window_compares, pseudo,
@@ -120,6 +120,7 @@ def _cmd_tree(args: argparse.Namespace) -> int:
     if args.depth < 0:
         raise ValueError(f"--depth must be >= 0, got {args.depth}")
     frame = SymbolicTreeFrame(FrameKind(args.kind), args.branching)
+    tree_pairs(frame.kind, args.branching, args.depth)  # refuses an oversize window
     layers = word_layers(args.branching, args.depth)
     ids = {u: _word_id(u) for layer in layers for u in layer}
     pairs = frozenset((ids[u], ids[v]) for u in ids

@@ -40,7 +40,7 @@ from typing import Any, Callable
 from .formula import OP_ATOM, OP_BOTTOM, OP_IMPLIES, Formula, compile_formula
 from .kripke import SymbolicTreeFrame
 from .omega import (MembershipTable, ProductPoint, _enumerate_stored, _fw, _u_fast,
-                    zero_seq)
+                    point_json, zero_seq)
 
 Stored = tuple[int, ...]
 Rows = Callable[[int], list[Stored]]
@@ -140,15 +140,11 @@ class Certificate:
         return out
 
 
-def point_json(a: Stored, b: Stored) -> dict[str, list[int]]:
-    return {"first": list(a), "second": list(b)}
-
-
 def _zero_rows(frame: SymbolicTreeFrame, d: int) -> Rows:
     """k -> the members of U_k(0) with support <= d, in shortlex order: the
     all-zero anchor's rows of a MembershipTable over that window."""
     table = MembershipTable(frame.kind, _enumerate_stored(frame.branching, d))
-    return lambda k: [table.window[bi] for bi in table.members((), k)]
+    return functools.partial(table.members, ())
 
 
 def _open(axiom: str, frames: tuple[SymbolicTreeFrame, SymbolicTreeFrame],

@@ -330,7 +330,6 @@ def parse(text: str) -> Formula:
 
 _LEVEL_IMPLIES = 1
 _LEVEL_UNARY = 2
-_LEVEL_ATOM = 3
 
 
 def _render(phi: Formula, min_level: int) -> str:

@@ -17,9 +17,11 @@ from typing import Any, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .formula import (OP_ATOM, OP_BOTTOM, OP_IMPLIES, Formula, Node,
                       compile_formula)
-from .report import VerificationReport, check_window
+from .report import BudgetExceeded, VerificationReport, check_window
 
 DEFAULT_WORD_BUDGET = 500_000
+# omega's sequence windows, and the tagged words g-morphism maps back
+DEFAULT_SEQ_BUDGET = 2_000_000
 
 
 class FrameKind(Enum):
@@ -95,13 +97,16 @@ def enumerate_words(branching: int, depth: int) -> list[Word]:
             for t in layer]
 
 
-def word_layers(branching: int, depth: int, *,
-                budget: int = DEFAULT_WORD_BUDGET) -> list[list[tuple[int, ...]]]:
+def word_layers(branching: int, depth: int) -> list[list[tuple[int, ...]]]:
     """The letter tuples of enumerate_words, one list per length: layers[n]
     holds the words of length n in lexicographic order."""
-    check_window(f"words of length <= {depth} at branching {branching}",
-                 branching, branching, depth, budget)
+    _check_words(branching, depth)
     return _shortlex(range(1, branching + 1), depth)
+
+
+def _check_words(branching: int, depth: int) -> None:
+    check_window(f"words of length <= {depth} at branching {branching}",
+                 branching, branching, depth, DEFAULT_WORD_BUDGET)
 
 
 def _shortlex(letters: Iterable[Any], depth: int) -> list[list[tuple[Any, ...]]]:
@@ -126,6 +131,23 @@ def tree_successors(kind: FrameKind, u: tuple[int, ...],
     for n in range(lo, min(len(layers) - 1 - len(u), hi) + 1):
         for tail in layers[n]:
             yield u + tail
+
+
+def tree_pairs(kind: FrameKind, branching: int, depth: int) -> int:
+    """How many pairs u R v the words of length <= depth hold, in closed
+    form: per step length n in kind.steps, b^n steps c times the words u of
+    length <= depth - n, which number top - n at b = 1 and else
+    (b^(top-n) - 1) / (b - 1), with top = depth + 1. Raises BudgetExceeded,
+    before any word is built, past DEFAULT_WORD_BUDGET words or pairs."""
+    _check_words(branching, depth)
+    b, (lo, hi), top = branching, kind.steps, depth + 1
+    pairs = sum(b ** n * ((b ** (top - n) - 1) // (b - 1) if b > 1 else top - n)
+                for n in range(lo, min(hi, depth) + 1))
+    if pairs > DEFAULT_WORD_BUDGET:
+        raise BudgetExceeded(f"window of {pairs} {kind.value} pairs of words of length "
+                             f"<= {depth} at branching {branching} exceeds budget "
+                             f"{DEFAULT_WORD_BUDGET}")
+    return pairs
 
 
 def check_fractal(frame: SymbolicTreeFrame, depth: int, *,
@@ -190,28 +212,19 @@ def tagged_word(letters: Iterable[tuple[int, int]], b1: int, b2: int) -> TaggedW
     return TaggedWord(tuple((s, x) for s, x in letters), (b1, b2))
 
 
-def enumerate_tagged_words(b1: int, b2: int, depth: int, *,
-                           budget: int = DEFAULT_WORD_BUDGET) -> list[TaggedWord]:
+def enumerate_tagged_words(b1: int, b2: int, depth: int) -> list[TaggedWord]:
     """All tagged words of length <= depth in shortlex order, side 1's
     letters before side 2's."""
     return [TaggedWord(t, (b1, b2))
-            for layer in tagged_word_layers(b1, b2, depth, budget=budget)
-            for t in layer]
+            for layer in _shortlex(tagged_letters(b1, b2, depth), depth) for t in layer]
 
 
-def tagged_word_layers(b1: int, b2: int, depth: int, *,
-                       budget: int = DEFAULT_WORD_BUDGET
-                       ) -> list[list[tuple[tuple[int, int], ...]]]:
-    """The letter tuples of enumerate_tagged_words, one list per length."""
-    return _shortlex(tagged_letters(b1, b2, depth, budget=budget), depth)
-
-
-def tagged_letters(b1: int, b2: int, depth: int, *,
-                   budget: int = DEFAULT_WORD_BUDGET) -> list[tuple[int, int]]:
+def tagged_letters(b1: int, b2: int, depth: int) -> list[tuple[int, int]]:
     """The letters of the tagged words, side 1's before side 2's, once the
-    window of tagged words of length <= depth is checked against budget."""
+    window of tagged words of length <= depth is checked against
+    DEFAULT_SEQ_BUDGET."""
     check_window(f"tagged words of length <= {depth} at branchings {b1} and {b2}",
-                 b1 + b2, b1 + b2, depth, budget)
+                 b1 + b2, b1 + b2, depth, DEFAULT_SEQ_BUDGET)
     return [(side, x) for side, b in ((1, b1), (2, b2)) for x in range(1, b + 1)]
 
 

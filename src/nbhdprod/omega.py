@@ -24,12 +24,9 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Sequence
 
 from .formula import LOGICS
-from .kripke import (FrameKind, SymbolicTreeFrame, TaggedWord, Word,
-                     _fusion_rel_on_tuples, _rel_on_tuples, tagged_letters,
-                     tree_successors, word_layers)
+from .kripke import (DEFAULT_SEQ_BUDGET, FrameKind, SymbolicTreeFrame, TaggedWord,
+                     Word, _fusion_rel_on_tuples, _rel_on_tuples, tagged_letters)
 from .report import VerificationReport, check_window
-
-DEFAULT_SEQ_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -163,15 +160,16 @@ class MembershipTable:
     of U_k(a) other than a is prefix(a, m) + s with m = max(k, st(a)), and f
     maps it to f(a) + f(s), so by the fractal law it is one iff s is a step.
     The row of a at k is a itself when () R () holds, then prefix(a, m) + s
-    for each step of length <= d - m, as window indices, ascending. A
+    for each step of length <= d - m: the member tuples in window order. A
     canonical anchor outside the window has no member in it. The table
     keeps no row: each call builds its row from the steps, which costs the
     row's members, and a caller that reads a row again keeps it itself.
+    Window indices appear only in mask, which turns a row into bits.
     """
 
     def __init__(self, kind: FrameKind, window: Sequence[tuple[int, ...]]):
         self.window = window
-        self._index = {stored: bi for bi, stored in enumerate(window)}
+        self.index = {stored: bi for bi, stored in enumerate(window)}
         self._depth = len(window[-1])
         # every row has m >= 1, so none reads a step longer than d - 1
         fit = bisect_right(window, self._depth - 1, key=len)
@@ -179,32 +177,34 @@ class MembershipTable:
                        if _rel_on_tuples(kind, (), _fw(s))]
         self._reflexive = _rel_on_tuples(kind, (), ())
 
-    def members(self, anchor: tuple[int, ...], k: int) -> list[int]:
-        """Window indices of U_k(anchor), ascending."""
-        index, steps = self._index, self._steps
-        at = index.get(anchor)
-        if at is None:
+    def members(self, anchor: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
+        """The members of U_k(anchor) in the window, in window order."""
+        if anchor not in self.index:
             return []
         m = max(k, len(anchor) + 1)
         head = _prefix_tuple(anchor, m)
         # head + s ends in s's last entry, which is nonzero, so it is
         # canonical and, at length <= d, in the window
-        cut = bisect_right(steps, self._depth - m, key=len)
-        row = [at] if self._reflexive else []
-        row += [index[head + s] for s in steps[:cut]]
+        cut = bisect_right(self._steps, self._depth - m, key=len)
+        row = [anchor] if self._reflexive else []
+        row += [head + s for s in self._steps[:cut]]
         return row
 
-    def mask(self, anchor: tuple[int, ...], k: int) -> int:
-        """U_k(anchor) as a bitmask over window indices."""
-        return _mask(self.members(anchor, k))
+    def mask(self, row: Iterable[tuple[int, ...]]) -> int:
+        """The bitmask over window indices with the bits of row's members set."""
+        index, mask = self.index, 0
+        for stored in row:
+            mask |= 1 << index[stored]
+        return mask
 
 
-def _mask(row: Iterable[int]) -> int:
-    """The bitmask with the bits of row set."""
-    mask = 0
-    for bi in row:
-        mask |= 1 << bi
-    return mask
+def _steps(kind: FrameKind, window: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The steps () R c of length <= d in shortlex order: the zero-free
+    tuples (the words) of a window of support <= d whose lengths lie in
+    kind.steps. A slice by length reads no relation, as tree_successors."""
+    words = [stored for stored in window if 0 not in stored]
+    lo, hi = kind.steps
+    return words[bisect_left(words, lo, key=len):bisect_right(words, hi, key=len)]
 
 
 def _index_blocks(st: int, k_max: int) -> list[tuple[int, int]]:
@@ -241,7 +241,7 @@ def check_chain(frame: SymbolicTreeFrame, d: int, k_max: int, *,
         table = MembershipTable(frame.kind, window)
         for a_stored in window:
             blocks = _index_blocks(len(a_stored) + 1, k_max)
-            masks = [table.mask(a_stored, k) for k, _ in blocks]
+            masks = [table.mask(table.members(a_stored, k)) for k, _ in blocks]
             for x, (m, size) in enumerate(blocks):
                 for y in range(x + 1, len(blocks)):
                     small, large = (masks[x], masks[y]) if reverse_inclusion \
@@ -280,18 +280,18 @@ def verify_ff_morphism(frame: SymbolicTreeFrame, d: int) -> VerificationReport:
             lemma="ff-morphism",
             params={"kind": frame.kind.value, "branching": frame.branching, "d": d,
                     "layers": dict.fromkeys(_MORPHISM_LAYERS, 0)}) as report:
-        layers = word_layers(frame.branching, d, budget=DEFAULT_SEQ_BUDGET)
-        # forget_zeros(lift(w)) == w on the raw letters of each word w
-        for letters in itertools.chain.from_iterable(layers):
+        kind = frame.kind
+        window = _enumerate_stored(frame.branching, d)
+        # forget_zeros(lift(w)) == w on the raw letters of each word w, the
+        # zero-free tuples of the window in shortlex order (lift(w) is w)
+        for letters in (stored for stored in window if 0 not in stored):
             report.count("surjectivity")
             if _fw(letters) != letters:
                 return report.fail({"layer": "surjectivity", "word": list(letters)})
-        kind = frame.kind
-        window = _enumerate_stored(frame.branching, d)
         table = MembershipTable(kind, window)
         # the R-successors of f(alpha) in the window are f(alpha) + c for the
         # steps () R c of length <= d - len(f(alpha)), a prefix of steps
-        steps = list(tree_successors(kind, (), layers))
+        steps = _steps(kind, window)
         for a_stored in window:
             a_fw = _fw(a_stored)
             cut = steps[:bisect_right(steps, d - len(a_fw), key=len)]
@@ -299,12 +299,12 @@ def verify_ff_morphism(frame: SymbolicTreeFrame, d: int) -> VerificationReport:
             # decide each block of k at its least k and count the rest in bulk
             for k, size in _index_blocks(len(a_stored) + 1, d):
                 members = table.members(a_stored, k)
-                for n, bi in enumerate(members):
-                    if not _rel_on_tuples(kind, a_fw, _fw(window[bi])):
+                for n, beta in enumerate(members):
+                    if not _rel_on_tuples(kind, a_fw, _fw(beta)):
                         report.count("forward", n + 1)
                         return report.fail({"layer": "forward",
                                             "alpha": list(a_stored), "k": k,
-                                            "beta": list(window[bi])})
+                                            "beta": list(beta)})
                 report.count("forward", len(members))
                 head = _prefix_tuple(a_stored, max(k, len(a_stored) + 1))
                 for n, c in enumerate(cut):
@@ -367,11 +367,10 @@ def axiom_evidence(frame: SymbolicTreeFrame, d: int) -> VerificationReport:
                 for m, size in _index_blocks(len(a_stored) + 1, d):
                     big_m = max(m, len(a_stored) + 1)
                     ys = table.members(a_stored, m)
-                    members = _mask(ys)
-                    # highest window index first
-                    for n, yi in enumerate(reversed(ys)):
-                        y_stored = window[yi]
-                        stray = table.mask(y_stored, big_m) & ~members
+                    members = table.mask(ys)
+                    # last member in window order first
+                    for n, y_stored in enumerate(reversed(ys)):
+                        stray = table.mask(table.members(y_stored, big_m)) & ~members
                         if stray:
                             report.checked += n + 1
                             bi = stray.bit_length() - 1
@@ -389,6 +388,11 @@ def axiom_evidence(frame: SymbolicTreeFrame, d: int) -> VerificationReport:
 class ProductPoint:
     first: PseudoSeq
     second: PseudoSeq
+
+
+def point_json(a: tuple[int, ...], b: tuple[int, ...]) -> dict[str, list[int]]:
+    """The product point of two stored tuples as the reports print it."""
+    return {"first": list(a), "second": list(b)}
 
 
 def _interleave(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
@@ -466,7 +470,7 @@ def verify_g_morphism(frame1: SymbolicTreeFrame, frame2: SymbolicTreeFrame,
         # tagged word and its two coordinates extend one of the last layer's
         # by one letter, only that layer is kept, and the deepest streams
         tails = [(((side, x),), (x if side == 1 else 0,), (0 if side == 1 else x,))
-                 for side, x in tagged_letters(b1, b2, d, budget=DEFAULT_SEQ_BUDGET)]
+                 for side, x in tagged_letters(b1, b2, d)]
         layer: Iterable[tuple[tuple[Any, ...], ...]] = [((), (), ())]
         checked = 0
         for n in range(max(d, 0) + 1):
@@ -484,33 +488,31 @@ def verify_g_morphism(frame1: SymbolicTreeFrame, frame2: SymbolicTreeFrame,
         tables = {1: MembershipTable(frame1.kind, _enumerate_stored(b1, d)),
                   2: MembershipTable(frame2.kind, _enumerate_stored(b2, d))}
         # the steps () R c per side, inside the window, with their tagged forms
-        side_steps = {
-            i: [(c, tuple((i, x) for x in c)) for c in tree_successors(
-                kinds[i], (), word_layers(branching, d, budget=DEFAULT_SEQ_BUDGET))]
-            for i, branching in ((1, b1), (2, b2))}
+        side_steps = {i: [(c, tuple((i, x) for x in c))
+                          for c in _steps(kinds[i], tables[i].window)]
+                      for i in (1, 2)}
 
         def alone(i: int, x: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
             """g of the point with x on side i and zero on the other side."""
             return _interleave(x, ()) if i == 1 else _interleave((), x)
 
-        # (side, anchor, m) -> (U_m(anchor) as window indices, the index of its
-        # first member x without g(anchor) R_i g(x), the index of the first step
+        # (side, anchor, m) -> (how many members U_m(anchor) has, the index of
+        # its first member x without g(anchor) R_i g(x), the index of the first step
         # c whose witness prefix(anchor, m) + c leaves U_m(anchor) or does not
         # map to g(anchor) + c tagged; past the end if none fails), decided with
         # the pinned coordinate zero. g maps position by position, every member
         # and witness agrees with the anchor up to m, and every pinned partner
         # at m is zero from m on, so this is the verdict of every point there.
-        verdicts: dict[tuple[int, tuple[int, ...], int],
-                       tuple[list[int], int, int]] = {}
+        verdicts: dict[tuple[int, tuple[int, ...], int], tuple[int, int, int]] = {}
 
-        def verdict(i: int, anchor: tuple[int, ...], m: int) -> tuple[list[int], int, int]:
+        def verdict(i: int, anchor: tuple[int, ...], m: int) -> tuple[int, int, int]:
             hit = verdicts.get((i, anchor, m))
             if hit is None:
                 kind, table, steps = kinds[i], tables[i], side_steps[i]
                 image, anchor_fw = alone(i, anchor), _fw(anchor)
                 row = table.members(anchor, m)
-                forward = next((n for n, bi in enumerate(row) if not _fusion_rel_on_tuples(
-                    kind, i, image, alone(i, table.window[bi]))), len(row))
+                forward = next((n for n, x in enumerate(row) if not _fusion_rel_on_tuples(
+                    kind, i, image, alone(i, x))), len(row))
                 head = _prefix_tuple(anchor, m)
                 covering = len(steps)
                 for j, (c, tagged) in enumerate(steps):
@@ -519,15 +521,12 @@ def verify_g_morphism(frame1: SymbolicTreeFrame, frame2: SymbolicTreeFrame,
                             and alone(i, x) == image + tagged):
                         covering = j
                         break
-                hit = verdicts[(i, anchor, m)] = row, forward, covering
+                hit = verdicts[(i, anchor, m)] = len(row), forward, covering
             return hit
 
         def passes(i: int, anchor: tuple[int, ...]) -> bool:
-            return all((f, c) == (len(row), len(side_steps[i])) for row, f, c in (
+            return all((f, c) == (size, len(side_steps[i])) for size, f, c in (
                 verdict(i, anchor, m) for m in range(len(anchor) + 2, d + 1)))
-
-        def point(a: tuple[int, ...], b: tuple[int, ...]) -> dict[str, list[int]]:
-            return {"first": list(a), "second": list(b)}
 
         # base-set indices reach d only for coordinates with st + 1 <= d, the
         # shortlex prefix of each window
@@ -542,30 +541,31 @@ def verify_g_morphism(frame1: SymbolicTreeFrame, frame2: SymbolicTreeFrame,
             for anchor in anchors:
                 for m in range(len(anchor) + 2, d + 1):
                     times = min(cap, bisect_right(inner[3 - i], m - 2, key=len))
-                    report.count("forward", times * len(verdict(i, anchor, m)[0]))
+                    report.count("forward", times * verdict(i, anchor, m)[0])
                     report.count("covering", times * len(side_steps[i]))
         for alpha in inner[1][stop:stop + 1]:
             for beta in inner[2]:
                 for m in range(max(len(alpha), len(beta)) + 2, d + 1):
                     for i in (1, 2):
                         anchor = alpha if i == 1 else beta
-                        row, forward, covering = verdict(i, anchor, m)
-                        report.count("forward", min(forward + 1, len(row)))
-                        if forward < len(row):
-                            x = tables[i].window[row[forward]]
+                        size, forward, covering = verdict(i, anchor, m)
+                        report.count("forward", min(forward + 1, size))
+                        if forward < size:
+                            x = tables[i].members(anchor, m)[forward]
+                            q = (x, beta) if i == 1 else (alpha, x)
                             return report.fail({
                                 "layer": "forward", "modality": i, "m": m,
-                                "point": point(alpha, beta),
-                                "member": point(x, beta) if i == 1 else point(alpha, x)})
+                                "point": point_json(alpha, beta), "member": point_json(*q)})
                         steps = side_steps[i]
                         report.count("covering", min(covering + 1, len(steps)))
                         if covering < len(steps):
                             c = steps[covering][0]
                             x = _canon(_prefix_tuple(anchor, m) + c)
+                            q = (x, beta) if i == 1 else (alpha, x)
                             return report.fail({
                                 "layer": "covering", "modality": i, "m": m,
-                                "point": point(alpha, beta), "step": list(c),
-                                "witness": point(x, beta) if i == 1 else point(alpha, x)})
+                                "point": point_json(alpha, beta), "step": list(c),
+                                "witness": point_json(*q)})
     return report
 
 
@@ -677,7 +677,7 @@ class _LexWindow:
                 return False
         start = self._count_below(p + (-1,), inclusive=True)
         stop = self._count_below(p + (1,))
-        members = self.table.mask(a_stored, k)
+        members = self.table.mask(self.table.members(a_stored, k))
         for gi in sorted(self.order[start:stop]):
             report.checked += 1
             if not (members >> gi & 1 or (punctured and window[gi] == a_stored)):
@@ -687,12 +687,12 @@ class _LexWindow:
         return True
 
     def _neighborhood_inside(self, a_stored: tuple[int, ...]) -> tuple[int, Any, int]:
-        window, rank = self.window, self.rank
+        window, rank, index = self.window, self.rank, self.table.index
         # lowest and highest rank of each U_k'(alpha) up to the first empty
         # one, which discharges every interval that reaches it
         live: list[tuple[int, int]] = []
         for kp in range(self.k_max + 1):
-            ranks = [rank[i] for i in self.table.members(a_stored, kp)]
+            ranks = [rank[index[x]] for x in self.table.members(a_stored, kp)]
             if not ranks:
                 break
             live.append((min(ranks), max(ranks)))

@@ -63,7 +63,7 @@ def reference_g_morphism(frame1, frame2, d):
         params={"kind1": frame1.kind.value, "kind2": frame2.kind.value,
                 "branching1": b1, "branching2": b2, "d": d,
                 "layers": dict.fromkeys(LAYERS, 0)})
-    for z in enumerate_tagged_words(b1, b2, d, budget=omega.DEFAULT_SEQ_BUDGET):
+    for z in enumerate_tagged_words(b1, b2, d):
         report.count("surjectivity")
         if g_map(g_preimage(z)) != z:
             return report.fail({"layer": "surjectivity",
@@ -72,8 +72,8 @@ def reference_g_morphism(frame1, frame2, d):
     tables = {i: omega.MembershipTable(kinds[i], omega._enumerate_stored(b, d))
               for i, b in ((1, b1), (2, b2))}
     side_steps = {
-        i: [(c, tuple((i, x) for x in c)) for c in tree_successors(
-            kinds[i], (), word_layers(b, d, budget=omega.DEFAULT_SEQ_BUDGET))]
+        i: [(c, tuple((i, x) for x in c))
+            for c in tree_successors(kinds[i], (), word_layers(b, d))]
         for i, b in ((1, b1), (2, b2))}
 
     def point(a, b):
@@ -89,8 +89,7 @@ def reference_g_morphism(frame1, frame2, d):
                 for i in (1, 2):
                     kind, table = kinds[i], tables[i]
                     anchor = alpha if i == 1 else beta
-                    for bi in table.members(anchor, m):
-                        member = table.window[bi]
+                    for member in table.members(anchor, m):
                         q = (member, beta) if i == 1 else (alpha, member)
                         report.count("forward")
                         if not kripke._fusion_rel_on_tuples(
@@ -120,7 +119,7 @@ def reference_ff_morphism(frame, d):
         lemma="ff-morphism",
         params={"kind": frame.kind.value, "branching": frame.branching, "d": d,
                 "layers": dict.fromkeys(LAYERS, 0)})
-    layers = word_layers(frame.branching, d, budget=omega.DEFAULT_SEQ_BUDGET)
+    layers = word_layers(frame.branching, d)
     for letters in itertools.chain.from_iterable(layers):
         w = Word(letters, frame.branching)
         report.count("surjectivity")
@@ -129,15 +128,15 @@ def reference_ff_morphism(frame, d):
     kind = frame.kind
     window = omega._enumerate_stored(frame.branching, d)
     table = omega.MembershipTable(kind, window)
-    words = [omega._fw(stored) for stored in window]
-    for a_stored, a_fw in zip(window, words):
+    for a_stored in window:
+        a_fw = omega._fw(a_stored)
         targets = list(tree_successors(kind, a_fw, layers))
         for k in range(d + 1):
-            for bi in table.members(a_stored, k):
+            for beta in table.members(a_stored, k):
                 report.count("forward")
-                if not omega._rel_on_tuples(kind, a_fw, words[bi]):
+                if not omega._rel_on_tuples(kind, a_fw, omega._fw(beta)):
                     return report.fail({"layer": "forward", "alpha": list(a_stored),
-                                        "k": k, "beta": list(window[bi])})
+                                        "k": k, "beta": list(beta)})
             head = omega._prefix_tuple(a_stored, max(k, len(a_stored) + 1))
             for target in targets:
                 report.count("covering")
@@ -160,7 +159,7 @@ def reference_chain(frame, d, k_max, *, reverse_inclusion=False):
     window = omega._enumerate_stored(frame.branching, d)
     table = omega.MembershipTable(frame.kind, window)
     for a_stored in window:
-        masks = [table.mask(a_stored, k) for k in range(k_max + 1)]
+        masks = [table.mask(table.members(a_stored, k)) for k in range(k_max + 1)]
         for m in range(k_max + 1):
             for k in range(m, k_max + 1):
                 report.checked += 1
@@ -210,11 +209,12 @@ def reference_axiom_evidence(frame, d):
         for a_stored in window:
             for m in range(d + 1):
                 big_m = max(m, len(a_stored) + 1)
-                members = table.mask(a_stored, m)
-                for yi in reversed(table.members(a_stored, m)):
-                    y_stored = window[yi]
+                ys = table.members(a_stored, m)
+                members = table.mask(ys)
+                for y_stored in reversed(ys):
                     report.checked += 1
-                    stray = table.mask(y_stored, max(big_m, len(y_stored) + 1)) & ~members
+                    y_row = table.members(y_stored, max(big_m, len(y_stored) + 1))
+                    stray = table.mask(y_row) & ~members
                     if stray:
                         bi = stray.bit_length() - 1
                         return report.fail({"evidence": "four", "alpha": list(a_stored),
@@ -411,18 +411,18 @@ def _flip_fused(monkeypatch, rate, salt):
 
 
 def _flip_row(monkeypatch, rate, salt):
-    """Flip window index bi in every U_k(anchor) row where the hash of
-    (anchor, bi, m) hits: the rows at different m of one anchor stop being
-    nested, which no fault of the relation or of _u_fast can do."""
+    """Flip the window point at index bi in every U_k(anchor) row where the
+    hash of (anchor, bi, m) hits: the rows at different m of one anchor stop
+    being nested, which no fault of the relation or of _u_fast can do."""
     real = omega.MembershipTable.members
 
     def faulty(self, anchor, k):
         m = max(k, len(anchor) + 1)
-        row = set(real(self, anchor, k))
+        row = {self.index[x] for x in real(self, anchor, k)}
         row.symmetric_difference_update(
             bi for bi in range(len(self.window))
             if hash((salt, anchor, bi, m)) % rate == 0)
-        return sorted(row)
+        return [self.window[bi] for bi in sorted(row)]
 
     monkeypatch.setattr(omega.MembershipTable, "members", faulty)
 

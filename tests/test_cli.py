@@ -15,8 +15,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import nbhdprod
-from nbhdprod import cli
+from nbhdprod import cli, kripke, omega
 from nbhdprod.cli import main
+from nbhdprod.report import BudgetExceeded
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -220,12 +221,14 @@ BUDGET_OVERRUNS = [
     ("verify", "--lemma", "chain", "--depth", "9000"),
     ("verify", "--lemma", "fractal", "--depth", "10000"),
     ("verify", "--lemma", "ff-morphism", "--depth", "10000"),
+    ("verify", "--lemma", "ff-morphism", "--depth", "19"),
     ("verify", "--lemma", "g-morphism", "--depth", "10000"),
     ("verify", "--lemma", "g-morphism", "--depth", "200000"),
     ("verify", "--lemma", "lex", "--depth", "10000"),
     ("verify", "--lemma", "chain", "--branching", "2000000", "--depth", "1"),
     ("tree", "--depth", "10000"),
     ("tree", "--branching", "3000000", "--depth", "1"),
+    ("tree", "--kind", "rt", "--branching", "2", "--depth", "17", "--nof"),
     ("countermodel", "--axiom", "com", "--kind1", "in", "--kind2", "in",
      "--bounds", "8,8,10000"),
 ]
@@ -246,6 +249,38 @@ def test_g_morphism_budget_message(capsys):
     assert (code, err) == (1, "")
     assert json.loads(out) == {"budget": "window of tagged words of length <= 20 at "
                                          "branchings 2 and 2 exceeds budget 2000000"}
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("verify", "--lemma", "ff-morphism", "--depth", "20"),
+     "window of sequences with support <= 20 at branching 2 exceeds budget 2000000"),
+    (("tree", "--kind", "rt", "--branching", "2", "--depth", "17", "--nof"),
+     "window of 4456449 rt pairs of words of length <= 17 at branching 2 "
+     "exceeds budget 500000"),
+])
+def test_window_budget_messages(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"budget": message}
+
+
+def test_tree_pair_budget_admits_depth_14():
+    # tree --kind rt --depth 14 exports its 458,753 pairs; depth 15 holds 983,041
+    assert kripke.tree_pairs(kripke.FrameKind.RT, 2, 14) == 458_753
+    with pytest.raises(BudgetExceeded, match="window of 983041 rt pairs"):
+        kripke.tree_pairs(kripke.FrameKind.RT, 2, 15)
+
+
+def test_ff_morphism_refuses_before_building_words():
+    frame = kripke.SymbolicTreeFrame(kripke.FrameKind.RT, 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded):
+            omega.verify_ff_morphism(frame, 19)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
 
 
 @pytest.mark.parametrize("argv", [

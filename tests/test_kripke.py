@@ -5,11 +5,12 @@ from random import Random
 
 import pytest
 
+from nbhdprod import omega
 from nbhdprod.formula import Atom, Bottom, Box, Implies, generate_formulas, parse
 from nbhdprod.kripke import (FiniteKripkeFrame, FrameKind, SymbolicTreeFrame,
                              _rel_on_tuples, check_fractal,
                              enumerate_tagged_words, enumerate_words,
-                             fusion_word_rel, satisfies, tagged_word,
+                             fusion_word_rel, satisfies, tagged_word, tree_pairs,
                              tree_successors, word, word_layers, word_rel)
 from nbhdprod.report import BudgetExceeded, VerificationReport
 from nbhdprod.sampling import random_kripke_frame
@@ -159,6 +160,28 @@ def test_tree_successors_match_word_rel_filter(kind, branching):
         for u in window:
             expected = [v for v in rows[u] if len(v) <= depth]
             assert list(tree_successors(kind, u, layers)) == expected
+
+
+@pytest.mark.parametrize("kind", list(FrameKind))
+@pytest.mark.parametrize("branching", [1, 2, 3])
+def test_sequence_window_words_and_steps(kind, branching):
+    # the morphism checks read their words and steps off the sequence
+    # window: the zero-free tuples, and the slice of the kind's step lengths
+    for depth in range(7):
+        layers = word_layers(branching, depth)
+        window = omega._enumerate_stored(branching, depth)
+        assert [s for s in window if 0 not in s] == [t for layer in layers for t in layer]
+        assert omega._steps(kind, window) == list(tree_successors(kind, (), layers))
+
+
+@pytest.mark.parametrize("kind", list(FrameKind))
+@pytest.mark.parametrize("branching", [1, 2, 3])
+def test_tree_pairs_count_the_successors(kind, branching):
+    for depth in range(7):
+        layers = word_layers(branching, depth)
+        built = sum(1 for layer in layers for u in layer
+                    for _ in tree_successors(kind, u, layers))
+        assert tree_pairs(kind, branching, depth) == built, depth
 
 
 def test_tree_successors_outside_the_window():

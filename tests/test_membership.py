@@ -1,9 +1,10 @@
 """MembershipTable against the definition of U_k.
 
 The oracle builds every row by the O(N^2) sweep of pointwise u_contains over
-the window; the table must give the same member list and bitmask for every
-anchor and index, on windows of all four kinds, branchings 1 to 3, unsigned
-and signed sequences, and for anchors longer than the window's support.
+the window; the table must give the same member tuples, in window order, and
+the same bitmask for every anchor and index, on windows of all four kinds,
+branchings 1 to 3, unsigned and signed sequences, and for anchors longer
+than the window's support.
 """
 
 import itertools
@@ -19,12 +20,8 @@ WINDOWS = ([(b, False, d) for b in (1, 2) for d in range(5)]
            + [(3, False, d) for d in range(4)] + [(3, True, d) for d in range(3)])
 
 
-def oracle_mask(frame, alpha, k, window):
-    mask = 0
-    for bi, beta in enumerate(window):
-        if u_contains(frame, alpha, k, beta):
-            mask |= 1 << bi
-    return mask
+def oracle_mask(window, row):
+    return sum(1 << bi for bi, beta in enumerate(window) if beta.stored in row)
 
 
 @pytest.mark.parametrize("kind", list(FrameKind), ids=lambda kind: kind.value)
@@ -37,10 +34,10 @@ def test_rows_match_pointwise_sweep(kind, branching, signed, d):
     longer = [PseudoSeq(x.stored + (0,) * (d + 1 - len(x.stored)) + (x.stored[-1:] or (1,)),
                         branching, signed) for x in window[::7]]
     for alpha, k in itertools.product(window + longer, range(d + 3)):
-        expected = oracle_mask(frame, alpha, k, window)
-        assert table.mask(alpha.stored, k) == expected, (alpha, k)
-        assert table.members(alpha.stored, k) == \
-            [bi for bi in range(len(window)) if expected >> bi & 1], (alpha, k)
+        expected = [x.stored for x in window if u_contains(frame, alpha, k, x)]
+        row = table.members(alpha.stored, k)
+        assert row == expected, (alpha, k)
+        assert table.mask(row) == oracle_mask(window, set(expected)), (alpha, k)
 
 
 def test_rows_are_one_per_stabilized_index():
@@ -55,10 +52,11 @@ def test_rows_are_fresh_lists():
     table = MembershipTable(FrameKind.RT, [x.stored for x in enumerate_pseudo(2, 3)])
     row = table.members((1,), 2)
     expected = list(row)
-    row.append(-1)
-    row[0] = -2
+    row.append((2, 2, 2))
+    row[0] = (1, 1, 1)
     assert table.members((1,), 2) == expected
-    assert table.mask((1,), 2) == sum(1 << bi for bi in expected)
+    assert table.mask(table.members((1,), 2)) == \
+        sum(1 << table.index[x] for x in expected)
 
 
 def test_empty_rows():
@@ -66,4 +64,4 @@ def test_empty_rows():
     # members of U_3((1, 1)) start with (1, 1, 0), so in a support-2 window
     # only (1, 1) itself qualifies, and IN needs one more letter
     assert table.members((1, 1), 3) == []
-    assert table.mask((1, 1), 3) == 0
+    assert table.mask([]) == 0

@@ -48,7 +48,7 @@ COMMANDS: tuple[tuple[str, list[str]], ...] = (
       for d in (8, 10, 12)),
     *((f"tree-rt-b2-d{d}-nof", _cli("tree", "--kind", "rt", "--branching", "2",
                                     "--depth", str(d), "--nof"))
-      for d in (6, 8, 10)),
+      for d in (6, 8, 10, 14)),
     *((f"ff-morphism-rt-b2-d{d}", _cli("verify", "--lemma", "ff-morphism", "--kind",
                                        "rt", "--branching", "2", "--depth", str(d)))
       for d in (5, 6, 7, 8)),
