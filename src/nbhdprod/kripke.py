@@ -136,13 +136,19 @@ def tree_successors(kind: FrameKind, u: tuple[int, ...],
 def tree_pairs(kind: FrameKind, branching: int, depth: int) -> int:
     """How many pairs u R v the words of length <= depth hold, in closed
     form: per step length n in kind.steps, b^n steps c times the words u of
-    length <= depth - n, which number top - n at b = 1 and else
-    (b^(top-n) - 1) / (b - 1), with top = depth + 1. Raises BudgetExceeded,
-    before any word is built, past DEFAULT_WORD_BUDGET words or pairs."""
+    length <= depth - n, which number (b^(top-n) - 1) / (b - 1), with
+    top = depth + 1. At b = 1 they number top - n, and the sum over n is an
+    arithmetic series. Raises BudgetExceeded, before any word is built, past
+    DEFAULT_WORD_BUDGET words or pairs."""
     _check_words(branching, depth)
     b, (lo, hi), top = branching, kind.steps, depth + 1
-    pairs = sum(b ** n * ((b ** (top - n) - 1) // (b - 1) if b > 1 else top - n)
-                for n in range(lo, min(hi, depth) + 1))
+    last = min(hi, depth)
+    if b == 1:
+        terms = max(last - lo + 1, 0)
+        pairs = terms * top - terms * (lo + last) // 2
+    else:
+        pairs = sum(b ** n * ((b ** (top - n) - 1) // (b - 1))
+                    for n in range(lo, last + 1))
     if pairs > DEFAULT_WORD_BUDGET:
         raise BudgetExceeded(f"window of {pairs} {kind.value} pairs of words of length "
                              f"<= {depth} at branching {branching} exceeds budget "

@@ -11,12 +11,13 @@ D axiom) can fail.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_
 from typing import Any, Iterable, Mapping, Sequence
 
-from .formula import (OP_ATOM, OP_BOTTOM, OP_IMPLIES, Formula, Node,
+from .formula import (OP_ATOM, OP_BOTTOM, OP_BOX, OP_IMPLIES, Formula, Node,
                       compile_formula, compile_formulas, generate_formulas,
                       modalities_of, unparse)
 from .kripke import FiniteKripkeFrame, _expect, _modality, _worlds
@@ -139,8 +140,9 @@ class FiniteNModel:
 #
 # A node's value holds one truth vector per world slot, slot k being the
 # k-th declared world: bit f of a vector is the value in lane f. A lane is a
-# valuation for valid_on_frame and a model for node_values, so one walk over
-# a compiled family evaluates every lane at once.
+# valuation for valid_on_frame, a model for node_values and a frame and one
+# of its valuations for first_invalid, so one walk over a compiled family
+# evaluates every lane at once.
 
 BaseRows = dict[int, list[dict[int, int]]]
 
@@ -160,14 +162,58 @@ def _add_base_rows(rows: BaseRows, frame: FiniteNFrame, lanes: int) -> None:
                 row[k][key] = row[k][key] | lanes if key in row[k] else lanes
 
 
+def _members(key: int) -> list[int]:
+    """The slots of a base set given as a mask of slots, lowest first."""
+    u = []
+    while key:
+        low = key & -key
+        u.append(low.bit_length() - 1)
+        key ^= low
+    return u
+
+
+Layer = tuple[int, list[int], Sequence[tuple[int, int]]]
+
+
+def _layers(row: dict[int, int], full: int) -> list[Layer]:
+    """A slot's base sets, packed into layers of at most one set per lane.
+
+    A layer is (lanes H, the slots every set of the layer holds, and per
+    slot that only some of them hold, the lanes of H whose set misses it).
+    On H the box holds where the AND over those slots of the body, each
+    widened by its missing lanes, is set. A lane whose set is empty misses
+    every slot, so the box holds there; a lane with no set at the slot is
+    in no layer, so it fails there. A set that covers every lane, as every
+    set does on one frame or one model, is a layer of its own.
+    """
+    layers: list[Layer] = []
+    shared: list[tuple[int, dict[int, int]]] = []  # (H, slot -> lanes holding it)
+    for key, mask in row.items():
+        u = _members(key)
+        if mask == full:
+            layers.append((mask, u, ()))
+            continue
+        for n, (lanes, holding) in enumerate(shared):
+            if not lanes & mask:
+                shared[n] = (lanes | mask, holding)
+                break
+        else:
+            holding = {}
+            shared.append((mask, holding))
+        for m in u:
+            holding[m] = holding.get(m, 0) | mask
+    layers += [(lanes, [m for m, h in holding.items() if h == lanes],
+                [(m, lanes & ~h) for m, h in holding.items() if h != lanes])
+               for lanes, holding in shared]
+    return layers
+
+
 def _truth(nodes: Sequence[Node], rows: BaseRows,
            atom_vectors: Mapping[str, tuple[int, ...]], full: int,
            slots: int) -> list[tuple[int, ...]]:
     """Truth vectors of every node; full has a bit for every lane."""
-    # (lane mask, base set as slots) pairs, one per distinct set at a slot
-    pairs = {i: [[(mask, [m for m in range(slots) if key >> m & 1])
-                  for key, mask in row.items()] for row in per_slot]
-             for i, per_slot in rows.items()}
+    layers = {i: [_layers(row, full) for row in per_slot]
+              for i, per_slot in rows.items()}
     # equal values share one tuple: on a stack many formulas agree everywhere
     shared: dict[tuple[int, ...], tuple[int, ...]] = {}
     values: list[tuple[int, ...]] = []
@@ -181,16 +227,19 @@ def _truth(nodes: Sequence[Node], rows: BaseRows,
         elif op == OP_IMPLIES:
             out = tuple([(full & ~a) | b for a, b in zip(values[x], values[y])])
         else:
-            if x not in pairs:
+            if x not in layers:
                 raise ValueError(f"frame has no modality {x}")
-            # the monotone clause: some base set lies inside the body's truth set
+            # the monotone clause: some base set lies inside the body's truth
+            # set, decided for every lane of a layer at once
             body = values[y]
             holds = []
-            for row in pairs[x]:
+            for row in layers[x]:
                 some = 0
-                for mask, u in row:
+                for mask, u, partial in row:
                     for m in u:
                         mask &= body[m]
+                    for m, miss in partial:
+                        mask &= body[m] | miss
                     some |= mask
                 holds.append(some)
             out = tuple(holds)
@@ -250,6 +299,26 @@ class Counterexample:
                 "world": self.world}
 
 
+def _valuation_vectors(worlds: int, names: Sequence[str]) -> dict[str, list[int]]:
+    """valid_on_frame's atom vectors on a frame of that many worlds: per
+    atom, one vector per world over every valuation. Raises BudgetExceeded
+    past VALUATION_GUARD_BITS (world, atom) pairs."""
+    bits = worlds * len(names)
+    if bits > VALUATION_GUARD_BITS:
+        raise BudgetExceeded(
+            f"{bits} valuation bits exceeds guard {VALUATION_GUARD_BITS}")
+    vectors: dict[str, list[int]] = {a: [] for a in names}
+    for j in range(bits):
+        # 2 ** j zeros then 2 ** j ones, doubled until it has a bit for
+        # every valuation
+        vector, size = ((1 << (1 << j)) - 1) << (1 << j), 2 << j
+        while size < 1 << bits:
+            vector |= vector << size
+            size *= 2
+        vectors[names[j % len(names)]].append(vector)
+    return vectors
+
+
 def valid_on_frame(frame: FiniteNFrame, phi: Formula) -> Counterexample | None:
     """Exhaustive validity check; returns the first counterexample or None.
 
@@ -261,21 +330,8 @@ def valid_on_frame(frame: FiniteNFrame, phi: Formula) -> Counterexample | None:
     """
     nodes = compile_formula(phi)
     names = sorted({x for op, x, _ in nodes if op == OP_ATOM})
-    pairs = [(w, a) for w in frame.worlds for a in names]
-    bits = len(pairs)
-    if bits > VALUATION_GUARD_BITS:
-        raise BudgetExceeded(
-            f"{bits} valuation bits exceeds guard {VALUATION_GUARD_BITS}")
-    full = (1 << (1 << bits)) - 1
-    vectors: dict[str, list[int]] = {a: [] for a in names}
-    for j, (_, a) in enumerate(pairs):
-        # 2 ** j zeros then 2 ** j ones, doubled until it has a bit for
-        # every valuation
-        vector, size = ((1 << (1 << j)) - 1) << (1 << j), 2 << j
-        while size < 1 << bits:
-            vector |= vector << size
-            size *= 2
-        vectors[a].append(vector)
+    vectors = _valuation_vectors(len(frame.worlds), names)
+    full = (1 << (1 << len(frame.worlds) * len(names))) - 1
     rows: BaseRows = {}
     _add_base_rows(rows, frame, full)
     out = _truth(nodes, rows,
@@ -286,9 +342,91 @@ def valid_on_frame(frame: FiniteNFrame, phi: Formula) -> Counterexample | None:
         return None
     v = (failing & -failing).bit_length() - 1
     world = next(w for w, t in zip(frame.worlds, out) if not t >> v & 1)
+    pairs = [(w, a) for w in frame.worlds for a in names]
     val = {a: tuple(w for j, (w, b) in enumerate(pairs) if b == a and v >> j & 1)
            for a in names}
     return Counterexample(val, world)
+
+
+class _ValidityStack:
+    """Frames under valid_on_frame's lane scheme, each in a lane range of
+    its own: the frame at position p holds 2^bits lanes from starts[p], its
+    base sets merged under that range and its atom vectors shifted into it."""
+
+    def __init__(self, names: Sequence[str]) -> None:
+        self.names = names
+        self.rows: BaseRows = {}
+        self.vectors: dict[str, list[int]] = {a: [] for a in names}
+        self.present: list[int] = []  # per slot, the lanes of frames with a world there
+        self.starts: list[int] = []
+        self.lanes = 0
+        self.by_size: dict[int, dict[str, list[int]]] = {}  # atom vectors per world count
+
+    def add(self, frame: FiniteNFrame) -> None:
+        n = len(frame.worlds)
+        width = 1 << n * len(self.names)
+        mask = ((1 << width) - 1) << self.lanes
+        _add_base_rows(self.rows, frame, mask)
+        if n not in self.by_size:
+            self.by_size[n] = _valuation_vectors(n, self.names)
+        for a, per_world in self.by_size[n].items():
+            column = self.vectors[a]
+            column.extend([0] * (n - len(column)))
+            for k, vector in enumerate(per_world):
+                column[k] |= vector << self.lanes
+        self.present.extend([0] * (n - len(self.present)))
+        for k in range(n):
+            self.present[k] |= mask
+        self.starts.append(self.lanes)
+        self.lanes += width
+
+    def first_failing(self, nodes: Sequence[Node]) -> int | None:
+        """Position of the first frame with a failing lane, or None."""
+        if not self.starts:
+            return None
+        out = _truth(nodes, self.rows,
+                     {a: tuple(column) for a, column in self.vectors.items()},
+                     (1 << self.lanes) - 1, len(self.present))[-1]
+        failing = 0
+        for lanes, value in zip(self.present, out):
+            failing |= lanes & ~value
+        if not failing:
+            return None
+        return bisect_right(self.starts, (failing & -failing).bit_length() - 1) - 1
+
+
+def first_invalid(frames: Iterable[FiniteNFrame], phi: Formula) -> int | None:
+    """Index of the first frame phi is not valid on, or None: what calling
+    valid_on_frame on each frame in turn finds, its errors included.
+
+    Frames are stacked, each in lanes of its own, and one walk over phi
+    decides a whole stack. A stack holds at most 2^VALUATION_GUARD_BITS
+    lanes, the bound one frame has; stacks run in order and stop at the
+    first failure. A frame valid_on_frame refuses (too many valuation bits,
+    a modality it lacks) is left to valid_on_frame, once the frames before
+    it are decided. The frames are read once, so a generator keeps only a
+    stack's worth of base sets alive.
+    """
+    nodes = compile_formula(phi)
+    names = sorted({x for op, x, _ in nodes if op == OP_ATOM})
+    boxes = {x for op, x, _ in nodes if op == OP_BOX}
+    stack, first = _ValidityStack(names), 0  # first: index of the stack's first frame
+    for p, frame in enumerate(frames):
+        bits = len(frame.worlds) * len(names)
+        alone = bits > VALUATION_GUARD_BITS or not boxes <= frame.base.keys()
+        if alone or stack.lanes + (1 << bits) > 1 << VALUATION_GUARD_BITS:
+            failing = stack.first_failing(nodes)
+            if failing is not None:
+                return first + failing
+            stack, first = _ValidityStack(names), p
+        if alone:  # valid_on_frame decides it alone, as the loop over frames would
+            if valid_on_frame(frame, phi) is not None:
+                return p
+            first = p + 1
+        else:
+            stack.add(frame)
+    failing = stack.first_failing(nodes)
+    return None if failing is None else first + failing
 
 
 @dataclass(frozen=True)

@@ -12,16 +12,16 @@ from __future__ import annotations
 import functools
 import itertools
 from random import Random
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .formula import (AxiomScheme, LOGICS, Node, axiom_instance,
                       compile_formulas, fusion_axioms, generate_formulas,
                       unparse)
 from .kripke import FiniteKripkeFrame
 from .kripke import node_values as kripke_values
-from .nbhd import (FiniteNFrame, FiniteNModel, node_values, nof, product_n,
-                   valid_on_frame)
-from .report import VerificationReport
+from .nbhd import (FiniteNFrame, FiniteNModel, first_invalid, node_values, nof,
+                   product_n, valid_on_frame)
+from .report import BudgetExceeded, VerificationReport
 
 
 def random_kripke_frame(rng: Random, max_worlds: int = 4,
@@ -180,49 +180,96 @@ def nf_agreement_sweep(seed: int, n_frames: int = 100, max_worlds: int = 4,
     return report
 
 
+def _fusion_pairs(seed: int, n_pairs: int, max_worlds: int
+                  ) -> Iterator[tuple[str, str, FiniteNFrame, FiniteNFrame]]:
+    """The fusion sweep's draws: the logic pair cycles through all sixteen
+    combinations, and each factor validates its logic."""
+    rng = Random(seed)
+    combos = list(itertools.product(LOGICS, LOGICS))
+    for n in range(n_pairs):
+        logic1, logic2 = combos[n % len(combos)]
+        yield (logic1, logic2, random_nframe_validating(rng, logic1, max_worlds),
+               random_nframe_validating(rng, logic2, max_worlds=2))
+
+
 def fusion_soundness_sweep(seed: int, n_pairs: int = 100,
                            max_worlds: int = 3) -> VerificationReport:
     """Products of frames validating two of D, T, D4, S4 validate every
-    fusion axiom; the logic pair cycles through all sixteen combinations."""
+    fusion axiom; the logic pair cycles through all sixteen combinations.
+
+    The obligations are (pair, axiom position), pair by pair. Each distinct
+    axiom is decided once over the stack of the products that owe it, and
+    the first failure is the least failing obligation, so checked and the
+    counterexample are those of the pair-by-pair loop.
+    """
     with VerificationReport(
             lemma="fusion-axioms",
             params={"seed": seed, "pairs": n_pairs,
                     "max_worlds": max_worlds}) as report:
-        rng = Random(seed)
-        combos = list(itertools.product(LOGICS, LOGICS))
-        for n in range(n_pairs):
-            logic1, logic2 = combos[n % len(combos)]
-            frame1 = random_nframe_validating(rng, logic1, max_worlds)
-            frame2 = random_nframe_validating(rng, logic2, max_worlds=2)
-            product = product_n(frame1, frame2)
-            for phi in fusion_axioms(logic1, logic2):
-                report.checked += 1
-                witness = valid_on_frame(product, phi)
-                if witness is not None:
-                    return report.fail({"logics": [logic1, logic2],
-                                        "formula": unparse(phi),
-                                        "frame1": frame1.to_dict(),
-                                        "frame2": frame2.to_dict(),
-                                        "counterexample": witness.to_dict()})
+        drawn, products, owed = [], [], {}  # owed: axiom -> (pair, position) obligations
+        for n, (logic1, logic2, frame1, frame2) in enumerate(
+                _fusion_pairs(seed, n_pairs, max_worlds)):
+            products.append(product_n(frame1, frame2))
+            drawn.append(fusion_axioms(logic1, logic2))
+            for j, phi in enumerate(drawn[-1]):
+                owed.setdefault(phi, []).append((n, j))
+        first: tuple[int, int] | None = None
+        try:
+            for phi, obligations in owed.items():
+                if first is not None:  # only obligations before it can move it
+                    obligations = [o for o in obligations if o < first]
+                failing = first_invalid((products[n] for n, _ in obligations), phi)
+                if failing is not None:
+                    first = obligations[failing]
+        except (BudgetExceeded, ValueError):
+            # valid_on_frame refuses some obligation: the pair-by-pair loop
+            # meets either a failure before it or that refusal
+            first = next(((n, j) for n, axioms in enumerate(drawn)
+                          for j, phi in enumerate(axioms)
+                          if valid_on_frame(products[n], phi) is not None), None)
+        if first is None:
+            report.checked = sum(map(len, drawn))
+        else:
+            n, j = first
+            report.checked = sum(map(len, drawn[:n])) + j + 1
+            logic1, logic2, frame1, frame2 = next(itertools.islice(
+                _fusion_pairs(seed, n_pairs, max_worlds), n, None))
+            phi = drawn[n][j]
+            return report.fail({"logics": [logic1, logic2],
+                                "formula": unparse(phi),
+                                "frame1": frame1.to_dict(),
+                                "frame2": frame2.to_dict(),
+                                "counterexample": valid_on_frame(
+                                    products[n], phi).to_dict()})
     return report
+
+
+def _com_pairs(seed: int, n_pairs: int) -> Iterator[tuple[FiniteNFrame, FiniteNFrame]]:
+    rng = Random(seed)
+    for _ in range(n_pairs):
+        yield random_nframe(rng, max_worlds=3), random_nframe(rng, max_worlds=2)
 
 
 def finite_com_sweep(seed: int, n_pairs: int = 100) -> VerificationReport:
     """The commutation scheme holds on every product of finite frames (the
-    filters are principal); its failure needs the infinite construction."""
+    filters are principal); its failure needs the infinite construction.
+
+    Com is decided once over the stack of all products, built as they are
+    drawn; the pair of the first failure is drawn again for its report.
+    """
     with VerificationReport(
             lemma="finite-com",
             params={"seed": seed, "pairs": n_pairs}) as report:
-        rng = Random(seed)
         com = axiom_instance(AxiomScheme.COM)
-        for _ in range(n_pairs):
-            frame1 = random_nframe(rng, max_worlds=3)
-            frame2 = random_nframe(rng, max_worlds=2)
-            product = product_n(frame1, frame2)
-            report.checked += 1
-            witness = valid_on_frame(product, com)
-            if witness is not None:
-                return report.fail({"frame1": frame1.to_dict(),
-                                    "frame2": frame2.to_dict(),
-                                    "counterexample": witness.to_dict()})
+        first = first_invalid((product_n(frame1, frame2)
+                               for frame1, frame2 in _com_pairs(seed, n_pairs)), com)
+        if first is None:
+            report.checked = n_pairs
+        else:
+            report.checked = first + 1
+            frame1, frame2 = next(itertools.islice(_com_pairs(seed, n_pairs), first, None))
+            return report.fail({"frame1": frame1.to_dict(),
+                                "frame2": frame2.to_dict(),
+                                "counterexample": valid_on_frame(
+                                    product_n(frame1, frame2), com).to_dict()})
     return report

@@ -229,6 +229,7 @@ BUDGET_OVERRUNS = [
     ("tree", "--depth", "10000"),
     ("tree", "--branching", "3000000", "--depth", "1"),
     ("tree", "--kind", "rt", "--branching", "2", "--depth", "17", "--nof"),
+    ("tree", "--kind", "rt", "--branching", "1", "--depth", "499999", "--nof"),
     ("countermodel", "--axiom", "com", "--kind1", "in", "--kind2", "in",
      "--bounds", "8,8,10000"),
 ]
@@ -256,6 +257,9 @@ def test_g_morphism_budget_message(capsys):
      "window of sequences with support <= 20 at branching 2 exceeds budget 2000000"),
     (("tree", "--kind", "rt", "--branching", "2", "--depth", "17", "--nof"),
      "window of 4456449 rt pairs of words of length <= 17 at branching 2 "
+     "exceeds budget 500000"),
+    (("tree", "--kind", "rt", "--branching", "1", "--depth", "499999", "--nof"),
+     "window of 125000250000 rt pairs of words of length <= 499999 at branching 1 "
      "exceeds budget 500000"),
 ])
 def test_window_budget_messages(capsys, argv, message):

@@ -184,6 +184,14 @@ def test_tree_pairs_count_the_successors(kind, branching):
         assert tree_pairs(kind, branching, depth) == built, depth
 
 
+@pytest.mark.parametrize("kind", list(FrameKind))
+def test_tree_pairs_at_branching_1_sum_the_step_lengths(kind):
+    lo, hi = kind.steps
+    for depth in range(51):
+        assert tree_pairs(kind, 1, depth) == sum(
+            depth + 1 - n for n in range(lo, min(hi, depth) + 1)), depth
+
+
 def test_tree_successors_outside_the_window():
     layers = word_layers(2, 2)
     assert list(tree_successors(FrameKind.RT, (1, 1, 1), layers)) == []
