@@ -144,22 +144,37 @@ class FiniteNModel:
 # of its valuations for first_invalid, so one walk over a compiled family
 # evaluates every lane at once.
 
+@dataclass
+class SlotMasks:
+    """A frame as the evaluators read it, world names dropped: per modality
+    and slot, the slot's base sets as masks of slots (bit m set when the
+    set holds slot m)."""
+    slots: int
+    base: dict[int, list[tuple[int, ...]]]
+
+
+def slot_masks(frame: FiniteNFrame) -> SlotMasks:
+    bit = {w: 1 << k for k, w in enumerate(frame.worlds)}.__getitem__
+    return SlotMasks(len(frame.worlds),
+                     {i: [tuple([sum(map(bit, u)) for u in per_world[w]])
+                          for w in frame.worlds]
+                      for i, per_world in frame.base.items()})
+
+
 BaseRows = dict[int, list[dict[int, int]]]
 
 
-def _add_base_rows(rows: BaseRows, frame: FiniteNFrame, lanes: int) -> None:
+def _add_base_rows(rows: BaseRows, frame: SlotMasks, lanes: int) -> None:
     """Merge frame's base sets into rows: rows[i][k] maps each base set of
-    modality i at slot k, as a mask of slots, to the lanes that have it."""
-    index = {w: k for k, w in enumerate(frame.worlds)}
-    for i, per_world in frame.base.items():
+    modality i at slot k to the lanes that have it."""
+    for i, per_slot in frame.base.items():
         row = rows.setdefault(i, [])
-        row.extend({} for _ in range(len(frame.worlds) - len(row)))
-        for k, w in enumerate(frame.worlds):
-            for u in per_world[w]:
-                key = sum(1 << index[x] for x in u)
+        row.extend({} for _ in range(len(per_slot) - len(row)))
+        for sets, at in zip(per_slot, row):
+            for key in sets:
                 # a new set keeps the caller's mask, which valid_on_frame
                 # makes as wide as all valuations, instead of a copy
-                row[k][key] = row[k][key] | lanes if key in row[k] else lanes
+                at[key] = at[key] | lanes if key in at else lanes
 
 
 def _members(key: int) -> list[int]:
@@ -260,7 +275,7 @@ def node_values(models: Iterable[FiniteNModel],
     slots = lanes = 0
     for f, model in enumerate(models):
         frame, valuation = model.frame, model.valuation
-        _add_base_rows(rows, frame, 1 << f)
+        _add_base_rows(rows, slot_masks(frame), 1 << f)
         modalities = set(frame.base) if modalities is None else modalities & set(frame.base)
         names = set(valuation) if names is None else names & set(valuation)
         slots, lanes = max(slots, len(frame.worlds)), f + 1
@@ -333,7 +348,7 @@ def valid_on_frame(frame: FiniteNFrame, phi: Formula) -> Counterexample | None:
     vectors = _valuation_vectors(len(frame.worlds), names)
     full = (1 << (1 << len(frame.worlds) * len(names))) - 1
     rows: BaseRows = {}
-    _add_base_rows(rows, frame, full)
+    _add_base_rows(rows, slot_masks(frame), full)
     out = _truth(nodes, rows,
                  {a: tuple(vector) for a, vector in vectors.items()}, full,
                  len(frame.worlds))[-1]
@@ -362,13 +377,13 @@ class _ValidityStack:
         self.lanes = 0
         self.by_size: dict[int, dict[str, list[int]]] = {}  # atom vectors per world count
 
-    def add(self, frame: FiniteNFrame) -> None:
-        n = len(frame.worlds)
+    def add(self, frame: SlotMasks) -> None:
+        n = frame.slots
+        if n not in self.by_size:  # refuses a frame past the guard, as valid_on_frame does
+            self.by_size[n] = _valuation_vectors(n, self.names)
         width = 1 << n * len(self.names)
         mask = ((1 << width) - 1) << self.lanes
         _add_base_rows(self.rows, frame, mask)
-        if n not in self.by_size:
-            self.by_size[n] = _valuation_vectors(n, self.names)
         for a, per_world in self.by_size[n].items():
             column = self.vectors[a]
             column.extend([0] * (n - len(column)))
@@ -395,36 +410,37 @@ class _ValidityStack:
         return bisect_right(self.starts, (failing & -failing).bit_length() - 1) - 1
 
 
-def first_invalid(frames: Iterable[FiniteNFrame], phi: Formula) -> int | None:
+def first_invalid(frames: Iterable[SlotMasks], phi: Formula) -> int | None:
     """Index of the first frame phi is not valid on, or None: what calling
     valid_on_frame on each frame in turn finds, its errors included.
 
-    Frames are stacked, each in lanes of its own, and one walk over phi
-    decides a whole stack. A stack holds at most 2^VALUATION_GUARD_BITS
-    lanes, the bound one frame has; stacks run in order and stop at the
-    first failure. A frame valid_on_frame refuses (too many valuation bits,
-    a modality it lacks) is left to valid_on_frame, once the frames before
-    it are decided. The frames are read once, so a generator keeps only a
-    stack's worth of base sets alive.
+    Frames come as slot masks, so a caller that builds them itself, as the
+    finite sweeps build their products, never names a world. They are
+    stacked, each in lanes of its own, and one walk over phi decides a
+    whole stack. A stack holds at most 2^VALUATION_GUARD_BITS lanes, the
+    bound one frame has; stacks run in order and stop at the first failure.
+    A frame valid_on_frame refuses (too many valuation bits, a modality it
+    lacks) is decided alone, once the frames before it are decided, and so
+    raises valid_on_frame's error. The frames are read once, so a generator
+    keeps only a stack's worth of base sets alive.
     """
     nodes = compile_formula(phi)
     names = sorted({x for op, x, _ in nodes if op == OP_ATOM})
     boxes = {x for op, x, _ in nodes if op == OP_BOX}
     stack, first = _ValidityStack(names), 0  # first: index of the stack's first frame
     for p, frame in enumerate(frames):
-        bits = len(frame.worlds) * len(names)
+        bits = frame.slots * len(names)
         alone = bits > VALUATION_GUARD_BITS or not boxes <= frame.base.keys()
         if alone or stack.lanes + (1 << bits) > 1 << VALUATION_GUARD_BITS:
             failing = stack.first_failing(nodes)
             if failing is not None:
                 return first + failing
             stack, first = _ValidityStack(names), p
-        if alone:  # valid_on_frame decides it alone, as the loop over frames would
-            if valid_on_frame(frame, phi) is not None:
+        stack.add(frame)
+        if alone:  # a stack of its own, as valid_on_frame sees it
+            if stack.first_failing(nodes) is not None:
                 return p
-            first = p + 1
-        else:
-            stack.add(frame)
+            stack, first = _ValidityStack(names), p + 1
     failing = stack.first_failing(nodes)
     return None if failing is None else first + failing
 
@@ -498,6 +514,22 @@ def product_n(frame1: FiniteNFrame, frame2: FiniteNFrame) -> FiniteNFrame:
             base2[w] = tuple(frozenset(product_world(w1, v) for v in u)
                              for u in frame2.base[1][w2])
     return FiniteNFrame(worlds, {1: base1, 2: base2})
+
+
+def product_masks(frame1: FiniteNFrame, frame2: FiniteNFrame) -> SlotMasks:
+    """slot_masks(product_n(frame1, frame2)), built from the masks of the
+    factors without naming a world or validating a factor: slot (x1, x2) is
+    x1 * n2 + x2, so a modality-1 set at x1 spreads slot v to v * n2 and
+    shifts by x2, and a modality-2 set at x2 shifts by x1 * n2. For factors
+    known to be valid, as the finite sweeps draw them."""
+    n1, n2 = len(frame1.worlds), len(frame2.worlds)
+    spread = {w: 1 << k * n2 for k, w in enumerate(frame1.worlds)}.__getitem__
+    first = [tuple([sum(map(spread, u)) for u in frame1.base[1][w]])
+             for w in frame1.worlds]
+    second = slot_masks(frame2).base[1]
+    return SlotMasks(n1 * n2, {
+        1: [tuple(u << x2 for u in sets) for sets in first for x2 in range(n2)],
+        2: [tuple(u << x1 * n2 for u in sets) for x1 in range(n1) for sets in second]})
 
 
 # --- bounded morphisms ----------------------------------------------------------

@@ -20,7 +20,7 @@ from .formula import (AxiomScheme, LOGICS, Node, axiom_instance,
 from .kripke import FiniteKripkeFrame
 from .kripke import node_values as kripke_values
 from .nbhd import (FiniteNFrame, FiniteNModel, first_invalid, node_values, nof,
-                   product_n, valid_on_frame)
+                   product_masks, product_n, valid_on_frame)
 from .report import BudgetExceeded, VerificationReport
 
 
@@ -135,8 +135,9 @@ def nf_agreement_sweep(seed: int, n_frames: int = 100, max_worlds: int = 4,
     frame, pointwise, for every generated formula.
 
     The family is compiled once and each semantics evaluates it once over
-    the stack of all frames, frame f in lane f. Checks count frame by frame
-    and formula by formula, so the first counterexample is the first
+    the stack of all frames, frame f in lane f; a formula is then one XOR
+    of the two values in the relational layout. Checks count frame by
+    frame and formula by formula, so the first counterexample is the first
     failing formula of the lowest failing frame.
     """
     with VerificationReport(
@@ -153,18 +154,26 @@ def nf_agreement_sweep(seed: int, n_frames: int = 100, max_worlds: int = 4,
         relational = kripke_values(frames, valuations, nodes)
         neighborhood = node_values((FiniteNModel(nof(frame), val)
                                     for frame, val in zip(frames, valuations)), nodes)
-        # present[k]: the lanes whose frame has a world at slot k
-        present = [sum(1 << f for f, frame in enumerate(frames) if k < len(frame.worlds))
-                   for k in range(max((len(frame.worlds) for frame in frames), default=0))]
+        # in kripke's layout, slot k of frame f at bit k * n_frames + f: the
+        # slots frames have, and each distinct neighborhood value (node_values
+        # shares equal ones) packed once
+        present = sum(1 << k * n_frames + f for f, frame in enumerate(frames)
+                      for k in range(len(frame.worlds)))
+        packed: dict[tuple[int, ...], int] = {}
         lane_bits = (1 << n_frames) - 1
         first: tuple[int, int] | None = None  # (lane, formula)
         for n, r in enumerate(roots):
-            packed, vectors = relational[r], neighborhood[r]
-            failing = 0
-            for k, (lanes, vector) in enumerate(zip(present, vectors)):
-                failing |= ((packed >> k * n_frames & lane_bits) ^ vector) & lanes
+            vectors = neighborhood[r]
+            if vectors not in packed:
+                packed[vectors] = sum(vector << k * n_frames
+                                      for k, vector in enumerate(vectors))
+            failing = (relational[r] ^ packed[vectors]) & present
             if failing:
-                lane = (failing & -failing).bit_length() - 1
+                lanes = 0
+                while failing:  # fold the slots onto the lanes
+                    lanes |= failing & lane_bits
+                    failing >>= n_frames
+                lane = (lanes & -lanes).bit_length() - 1
                 if first is None or lane < first[0]:
                     first = (lane, n)
         if first is None:
@@ -197,10 +206,13 @@ def fusion_soundness_sweep(seed: int, n_pairs: int = 100,
     """Products of frames validating two of D, T, D4, S4 validate every
     fusion axiom; the logic pair cycles through all sixteen combinations.
 
-    The obligations are (pair, axiom position), pair by pair. Each distinct
-    axiom is decided once over the stack of the products that owe it, and
-    the first failure is the least failing obligation, so checked and the
-    counterexample are those of the pair-by-pair loop.
+    The obligations are (pair, axiom position), pair by pair. Each product
+    is built once, as slot masks from its factors (product_masks: the
+    factors are valid by construction, so none is validated again), and
+    each distinct axiom is decided once over the stack of the products
+    that owe it. The first failure is the least failing obligation, so
+    checked and the counterexample are those of the pair-by-pair loop;
+    product_n builds the named product of a failing pair for its report.
     """
     with VerificationReport(
             lemma="fusion-axioms",
@@ -209,7 +221,7 @@ def fusion_soundness_sweep(seed: int, n_pairs: int = 100,
         drawn, products, owed = [], [], {}  # owed: axiom -> (pair, position) obligations
         for n, (logic1, logic2, frame1, frame2) in enumerate(
                 _fusion_pairs(seed, n_pairs, max_worlds)):
-            products.append(product_n(frame1, frame2))
+            products.append(product_masks(frame1, frame2))
             drawn.append(fusion_axioms(logic1, logic2))
             for j, phi in enumerate(drawn[-1]):
                 owed.setdefault(phi, []).append((n, j))
@@ -226,7 +238,7 @@ def fusion_soundness_sweep(seed: int, n_pairs: int = 100,
             # meets either a failure before it or that refusal
             first = next(((n, j) for n, axioms in enumerate(drawn)
                           for j, phi in enumerate(axioms)
-                          if valid_on_frame(products[n], phi) is not None), None)
+                          if first_invalid([products[n]], phi) is not None), None)
         if first is None:
             report.checked = sum(map(len, drawn))
         else:
@@ -240,7 +252,7 @@ def fusion_soundness_sweep(seed: int, n_pairs: int = 100,
                                 "frame1": frame1.to_dict(),
                                 "frame2": frame2.to_dict(),
                                 "counterexample": valid_on_frame(
-                                    products[n], phi).to_dict()})
+                                    product_n(frame1, frame2), phi).to_dict()})
     return report
 
 
@@ -254,14 +266,17 @@ def finite_com_sweep(seed: int, n_pairs: int = 100) -> VerificationReport:
     """The commutation scheme holds on every product of finite frames (the
     filters are principal); its failure needs the infinite construction.
 
-    Com is decided once over the stack of all products, built as they are
-    drawn; the pair of the first failure is drawn again for its report.
+    Com is decided once over the stack of all products, each built as its
+    pair is drawn, as slot masks from the factors' (product_masks: the
+    factors are valid by construction, so none is validated again). The
+    pair of the first failure is drawn again, and product_n builds its
+    named product for the report.
     """
     with VerificationReport(
             lemma="finite-com",
             params={"seed": seed, "pairs": n_pairs}) as report:
         com = axiom_instance(AxiomScheme.COM)
-        first = first_invalid((product_n(frame1, frame2)
+        first = first_invalid((product_masks(frame1, frame2)
                                for frame1, frame2 in _com_pairs(seed, n_pairs)), com)
         if first is None:
             report.checked = n_pairs

@@ -12,10 +12,13 @@ nbhd decides a box by lane layers: a slot's base sets are split into layers
 of at most one set per lane, and one AND over the slots a layer's sets touch
 decides all of its lanes. The layered clause must give the values of the
 loop over every distinct base set kept here. nbhd.first_invalid stacks whole
-frames under valid_on_frame's lane scheme, frame after frame in lane ranges
-of their own; finite_com_sweep and fusion_soundness_sweep decide each formula
-once over such stacks and must report what their pair-major loops, kept here,
-report.
+frames, given as slot masks, under valid_on_frame's lane scheme, frame after
+frame in lane ranges of their own; finite_com_sweep and fusion_soundness_sweep
+decide each formula once over such stacks and must report what their
+pair-major loops, kept here, report. The sweeps build each product's masks
+from its factors' with nbhd.product_masks and never validate a factor, so
+the masks must be those of product_n, and every factor they draw must be
+valid.
 """
 
 import itertools
@@ -33,7 +36,7 @@ from nbhdprod.kripke import FiniteKripkeFrame
 from nbhdprod.kripke import denotation as kripke_denotation
 from nbhdprod.kripke import node_values as kripke_values
 from nbhdprod.nbhd import (FiniteNFrame, FiniteNModel, denotation, first_invalid,
-                           node_values, nof, valid_on_frame)
+                           node_values, nof, slot_masks, valid_on_frame)
 from nbhdprod.report import BudgetExceeded
 from nbhdprod.sampling import (finite_com_sweep, fusion_soundness_sweep,
                                nf_agreement_sweep)
@@ -223,9 +226,8 @@ def random_stack(rng, lanes, masks):
         sets = {w: tuple(frozenset(v for v in worlds if rng.random() < 0.5)
                          for _ in range(rng.randint(1, 3)))
                 for w in worlds}
-        nbhd._add_base_rows(rows, FiniteNFrame(worlds, {1: sets,
-                                                        2: {w: () for w in worlds}}),
-                            mask)
+        frame = FiniteNFrame(worlds, {1: sets, 2: {w: () for w in worlds}})
+        nbhd._add_base_rows(rows, slot_masks(frame), mask)
         slots = max(slots, n)
     for per_slot in rows.values():
         per_slot.extend({} for _ in range(slots - len(per_slot)))
@@ -271,7 +273,7 @@ def loop_first_invalid(frames, phi):
 
 def stacked_first_invalid(frames, phi):
     try:
-        return first_invalid(iter(frames), phi)
+        return first_invalid(map(slot_masks, frames), phi)
     except (BudgetExceeded, ValueError) as error:
         return type(error), str(error)
 
@@ -308,9 +310,31 @@ def test_stacks_hold_at_most_the_guard_lanes(monkeypatch):
 
     monkeypatch.setattr(nbhd, "_truth", recording)
     products = [nbhd.product_n(*pair) for pair in _fusion_draws(3, 100)]
-    assert first_invalid(products, axiom_instance(AxiomScheme.K, 1)) is None
+    assert first_invalid(map(slot_masks, products), axiom_instance(AxiomScheme.K, 1)) is None
     assert sum(widths) == sum(1 << 2 * len(p.worlds) for p in products)
     assert len(widths) > 1 and max(widths) <= 1 << nbhd.VALUATION_GUARD_BITS
+
+
+def test_refusals_past_the_guard_hold_no_lanes():
+    """A frame past the valuation guard is refused before its lanes are
+    built: 16 worlds and the two atoms of K would be 2^32 lanes, 512 MB a
+    vector, and valid_on_frame and first_invalid refuse it in under 1 MB."""
+    worlds = tuple(f"w{k}" for k in range(16))
+    sets = {w: (frozenset(worlds),) for w in worlds}
+    frame = FiniteNFrame(worlds, {1: sets, 2: sets})
+    k1 = axiom_instance(AxiomScheme.K, 1)
+    small = slot_masks(FiniteNFrame(("a",), {1: {"a": (frozenset("a"),)},
+                                             2: {"a": (frozenset("a"),)}}))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="^32 valuation bits exceeds guard 16$"):
+            valid_on_frame(frame, k1)
+        with pytest.raises(BudgetExceeded, match="^32 valuation bits exceeds guard 16$"):
+            first_invalid([small, small, slot_masks(frame)], k1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
 
 
 def reference_com_sweep(seed, n_pairs=100):
@@ -390,6 +414,48 @@ def test_sweep_sizes_match_pair_major_loops(n_pairs):
         assert com == (n_pairs, None)
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_sweep_factors_are_valid(seed):
+    """The sweeps trust their draws and never validate a factor, so every
+    factor _com_pairs and _fusion_pairs draw must pass validate_frame; the
+    fusion pairs run through all sixteen logic pairs at both sizes."""
+    for frame1, frame2 in sampling._com_pairs(seed, 100):
+        assert nbhd.validate_frame(frame1).passed and nbhd.validate_frame(frame2).passed
+    for max_worlds in (3, 5):
+        logics = set()
+        for logic1, logic2, frame1, frame2 in sampling._fusion_pairs(seed, 100, max_worlds):
+            logics.add((logic1, logic2))
+            for frame in (frame1, frame2):
+                assert nbhd.validate_frame(frame).passed, (logic1, logic2, frame.to_dict())
+        assert logics == set(COMBOS)
+
+
+def _unimodal(*per_world):
+    worlds = tuple(f"w{k}" for k in range(len(per_world)))
+    return FiniteNFrame(worlds, {1: {w: tuple(frozenset(f"w{m}" for m in u) for u in sets)
+                                     for w, sets in zip(worlds, per_world)}})
+
+
+# an empty base set, a base set given twice, one world
+HAND_BUILT = [
+    _unimodal([(), (0, 1)], [(1,)], [(0, 2), (0,)]),
+    _unimodal([(0, 1), (0, 1)], [(0, 1), (1,), (0, 1)]),
+    _unimodal([(0,)]),
+    _unimodal([()]),
+]
+
+
+def test_product_masks_are_those_of_product_n():
+    """product_masks, which the sweeps decide on, against slot_masks of the
+    named product_n, on the sweeps' draws and on hand-built factors."""
+    pairs = [pair for seed in range(5) for pair in sampling._com_pairs(seed, 100)]
+    pairs += [pair for seed in range(3) for pair in _fusion_draws(seed, 48, max_worlds=5)]
+    pairs += itertools.product(HAND_BUILT, repeat=2)
+    for frame1, frame2 in pairs:
+        assert nbhd.product_masks(frame1, frame2) == \
+            slot_masks(nbhd.product_n(frame1, frame2)), _key(frame1, frame2)
+
+
 def _key(frame1, frame2):
     return json.dumps([frame1.to_dict(), frame2.to_dict()], sort_keys=True)
 
@@ -419,10 +485,13 @@ def _corrupt(product, fault, padding):
 
 
 def patch_products(monkeypatch, pairs, faults, padding):
-    """Patch sampling.product_n: every product gets `padding` more worlds,
-    which spread the products over more stacks, and the product of the
-    pair at index n also gets faults[n]. The fault follows the frames, not
-    the call count, so a pair drawn again is built again the same way."""
+    """Patch sampling.product_masks, which makes every product the sweeps
+    decide on: every product gets `padding` more worlds, which spread the
+    products over more stacks, and the product of the pair at index n also
+    gets faults[n]. sampling.product_n, which the pair-major loops and the
+    sweeps' failure reports call, gives the same faulty product with world
+    names. The fault follows the frames, not the call count, so a pair
+    drawn again is built again the same way."""
     keys = [_key(*pair) for pair in pairs]
     faulty = {keys[n]: fault for n, fault in faults.items()}
     # frames drawn twice are faulty twice, so each fault goes to a first draw
@@ -432,6 +501,8 @@ def patch_products(monkeypatch, pairs, faults, padding):
     def product_n(frame1, frame2):
         return _corrupt(real(frame1, frame2), faulty.get(_key(frame1, frame2)), padding)
 
+    monkeypatch.setattr(sampling, "product_masks",
+                        lambda frame1, frame2: slot_masks(product_n(frame1, frame2)))
     monkeypatch.setattr(sampling, "product_n", product_n)
 
 
