@@ -343,6 +343,7 @@ def valid_on_frame(frame: FiniteNFrame, phi: Formula) -> Counterexample | None:
     at once: bit v of pair j's atom vector is bit j of v, so the first
     counterexample is the lowest bit missing from some world's truth vector.
     """
+    # not a _ValidityStack of one: its presence masks make 2^16 lanes 15-25% slower
     nodes = compile_formula(phi)
     names = sorted({x for op, x, _ in nodes if op == OP_ATOM})
     vectors = _valuation_vectors(len(frame.worlds), names)
@@ -379,7 +380,7 @@ class _ValidityStack:
 
     def add(self, frame: SlotMasks) -> None:
         n = frame.slots
-        if n not in self.by_size:  # refuses a frame past the guard, as valid_on_frame does
+        if n not in self.by_size:
             self.by_size[n] = _valuation_vectors(n, self.names)
         width = 1 << n * len(self.names)
         mask = ((1 << width) - 1) << self.lanes
@@ -411,18 +412,19 @@ class _ValidityStack:
 
 
 def first_invalid(frames: Iterable[SlotMasks], phi: Formula) -> int | None:
-    """Index of the first frame phi is not valid on, or None: what calling
-    valid_on_frame on each frame in turn finds, its errors included.
+    """Index of the first frame valid_on_frame does not answer None on, or
+    None: the first frame phi fails on or valid_on_frame refuses (too many
+    valuation bits, a modality phi needs and the frame lacks). It never
+    raises for a refused frame; a caller surfaces the refusal by calling
+    valid_on_frame on the frame whose index it gets back.
 
     Frames come as slot masks, so a caller that builds them itself, as the
     finite sweeps build their products, never names a world. They are
     stacked, each in lanes of its own, and one walk over phi decides a
     whole stack. A stack holds at most 2^VALUATION_GUARD_BITS lanes, the
-    bound one frame has; stacks run in order and stop at the first failure.
-    A frame valid_on_frame refuses (too many valuation bits, a modality it
-    lacks) is decided alone, once the frames before it are decided, and so
-    raises valid_on_frame's error. The frames are read once, so a generator
-    keeps only a stack's worth of base sets alive.
+    bound one frame has; stacks run in order and stop at the first failure
+    or at a refused frame, which gets no lanes. The frames are read once,
+    so a generator keeps only a stack's worth of base sets alive.
     """
     nodes = compile_formula(phi)
     names = sorted({x for op, x, _ in nodes if op == OP_ATOM})
@@ -430,17 +432,15 @@ def first_invalid(frames: Iterable[SlotMasks], phi: Formula) -> int | None:
     stack, first = _ValidityStack(names), 0  # first: index of the stack's first frame
     for p, frame in enumerate(frames):
         bits = frame.slots * len(names)
-        alone = bits > VALUATION_GUARD_BITS or not boxes <= frame.base.keys()
-        if alone or stack.lanes + (1 << bits) > 1 << VALUATION_GUARD_BITS:
+        refused = bits > VALUATION_GUARD_BITS or not boxes <= frame.base.keys()
+        if refused or stack.lanes + (1 << bits) > 1 << VALUATION_GUARD_BITS:
             failing = stack.first_failing(nodes)
             if failing is not None:
                 return first + failing
+            if refused:
+                return p
             stack, first = _ValidityStack(names), p
         stack.add(frame)
-        if alone:  # a stack of its own, as valid_on_frame sees it
-            if stack.first_failing(nodes) is not None:
-                return p
-            stack, first = _ValidityStack(names), p + 1
     failing = stack.first_failing(nodes)
     return None if failing is None else first + failing
 
@@ -473,9 +473,7 @@ def structural_characteristics(frame: FiniteNFrame, i: int) -> Characteristics:
         raise BudgetExceeded(
             f"{len(frame.worlds)} worlds exceeds guard {FOUR_GUARD_WORLDS} for four_ok")
     n = len(frame.worlds)
-    index = {w: k for k, w in enumerate(frame.worlds)}
-    rows = [[sum(1 << index[x] for x in u) for u in frame.base[i][w]]
-            for w in frame.worlds]
+    rows = slot_masks(frame).base[i]
     d_ok = all(u != 0 for row in rows for u in row)
     t_ok = all(all(u >> w & 1 for u in row) for w, row in enumerate(rows))
 

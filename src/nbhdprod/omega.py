@@ -175,7 +175,7 @@ class MembershipTable:
         fit = bisect_right(window, self._depth - 1, key=len)
         self._steps = [s for s in itertools.islice(window, 1, fit)
                        if _rel_on_tuples(kind, (), _fw(s))]
-        self._reflexive = _rel_on_tuples(kind, (), ())
+        self._reflexive = kind.reflexive
 
     def members(self, anchor: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
         """The members of U_k(anchor) in the window, in window order."""

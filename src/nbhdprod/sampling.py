@@ -21,7 +21,7 @@ from .kripke import FiniteKripkeFrame
 from .kripke import node_values as kripke_values
 from .nbhd import (FiniteNFrame, FiniteNModel, first_invalid, node_values, nof,
                    product_masks, product_n, valid_on_frame)
-from .report import BudgetExceeded, VerificationReport
+from .report import VerificationReport
 
 
 def random_kripke_frame(rng: Random, max_worlds: int = 4,
@@ -210,42 +210,35 @@ def fusion_soundness_sweep(seed: int, n_pairs: int = 100,
     is built once, as slot masks from its factors (product_masks: the
     factors are valid by construction, so none is validated again), and
     each distinct axiom is decided once over the stack of the products
-    that owe it. The first failure is the least failing obligation, so
-    checked and the counterexample are those of the pair-by-pair loop;
-    product_n builds the named product of a failing pair for its report.
+    that owe it. The first failure is the least obligation that fails or
+    that valid_on_frame refuses, so checked and the report are those of the
+    pair-by-pair loop: product_n builds that pair's named product, and
+    valid_on_frame on it gives the counterexample or raises the refusal.
     """
     with VerificationReport(
             lemma="fusion-axioms",
             params={"seed": seed, "pairs": n_pairs,
                     "max_worlds": max_worlds}) as report:
+        pairs = list(_fusion_pairs(seed, n_pairs, max_worlds))
         drawn, products, owed = [], [], {}  # owed: axiom -> (pair, position) obligations
-        for n, (logic1, logic2, frame1, frame2) in enumerate(
-                _fusion_pairs(seed, n_pairs, max_worlds)):
+        for n, (logic1, logic2, frame1, frame2) in enumerate(pairs):
             products.append(product_masks(frame1, frame2))
             drawn.append(fusion_axioms(logic1, logic2))
             for j, phi in enumerate(drawn[-1]):
                 owed.setdefault(phi, []).append((n, j))
         first: tuple[int, int] | None = None
-        try:
-            for phi, obligations in owed.items():
-                if first is not None:  # only obligations before it can move it
-                    obligations = [o for o in obligations if o < first]
-                failing = first_invalid((products[n] for n, _ in obligations), phi)
-                if failing is not None:
-                    first = obligations[failing]
-        except (BudgetExceeded, ValueError):
-            # valid_on_frame refuses some obligation: the pair-by-pair loop
-            # meets either a failure before it or that refusal
-            first = next(((n, j) for n, axioms in enumerate(drawn)
-                          for j, phi in enumerate(axioms)
-                          if first_invalid([products[n]], phi) is not None), None)
+        for phi, obligations in owed.items():
+            if first is not None:  # only obligations before it can move it
+                obligations = [o for o in obligations if o < first]
+            failing = first_invalid((products[n] for n, _ in obligations), phi)
+            if failing is not None:
+                first = obligations[failing]
         if first is None:
             report.checked = sum(map(len, drawn))
         else:
             n, j = first
             report.checked = sum(map(len, drawn[:n])) + j + 1
-            logic1, logic2, frame1, frame2 = next(itertools.islice(
-                _fusion_pairs(seed, n_pairs, max_worlds), n, None))
+            logic1, logic2, frame1, frame2 = pairs[n]
             phi = drawn[n][j]
             return report.fail({"logics": [logic1, logic2],
                                 "formula": unparse(phi),
