@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import reduce
-from operator import and_
+from functools import lru_cache
 from typing import Any, Iterable, Mapping, Sequence
 
 from .formula import (OP_ATOM, OP_BOTTOM, OP_BOX, OP_IMPLIES, Formula, Node,
@@ -139,10 +138,11 @@ class FiniteNModel:
 # --- satisfaction over truth vectors ----------------------------------------------
 #
 # A node's value holds one truth vector per world slot, slot k being the
-# k-th declared world: bit f of a vector is the value in lane f. A lane is a
-# valuation for valid_on_frame, a model for node_values and a frame and one
-# of its valuations for first_invalid, so one walk over a compiled family
-# evaluates every lane at once.
+# k-th declared world: bit f of a vector is the value in lane f. One stack,
+# _Lanes, puts frames side by side in lane ranges of their own: node_values
+# gives each model one lane, valid_on_frame gives its one frame a lane per
+# valuation and first_invalid stacks frames so, one after another. One walk
+# over a compiled family evaluates every lane at once.
 
 @dataclass
 class SlotMasks:
@@ -169,11 +169,12 @@ def _add_base_rows(rows: BaseRows, frame: SlotMasks, lanes: int) -> None:
     modality i at slot k to the lanes that have it."""
     for i, per_slot in frame.base.items():
         row = rows.setdefault(i, [])
-        row.extend({} for _ in range(len(per_slot) - len(row)))
+        if len(per_slot) > len(row):
+            row.extend({} for _ in range(len(per_slot) - len(row)))
         for sets, at in zip(per_slot, row):
             for key in sets:
-                # a new set keeps the caller's mask, which valid_on_frame
-                # makes as wide as all valuations, instead of a copy
+                # a new set keeps the caller's mask, on one frame as wide
+                # as all its valuations, instead of a copy
                 at[key] = at[key] | lanes if key in at else lanes
 
 
@@ -262,35 +263,75 @@ def _truth(nodes: Sequence[Node], rows: BaseRows,
     return values
 
 
+class _Lanes:
+    """Frames side by side over their world slots, each in a lane range of
+    its own: the p-th frame added, with width w, holds w lanes from
+    starts[p]. Its base sets are merged under that range, its per-slot atom
+    vectors shifted into it, and its slot count recorded, so its lanes do
+    not fail at the slots it lacks. The stack keeps the atoms and
+    modalities every frame has."""
+
+    def __init__(self) -> None:
+        self.rows: BaseRows = {}
+        self.modalities: set[int] | None = None  # None until a frame is added
+        self.vectors: dict[str, list[int]] = {}  # per atom and slot: lanes where true
+        self.sized: dict[int, int] = {}  # per slot count, the lanes of frames with that many
+        self.starts: list[int] = []
+        self.lanes = self.full = 0  # full: a bit for every lane
+
+    def add(self, masks: SlotMasks, atom_vectors: Mapping[str, Sequence[int]],
+            width: int) -> None:
+        lanes, n = self.lanes, masks.slots
+        mask = ((1 << width) - 1) << lanes
+        _add_base_rows(self.rows, masks, mask)
+        if self.modalities is None:
+            self.modalities, self.vectors = set(masks.base), {a: [] for a in atom_vectors}
+        self.modalities &= masks.base.keys()
+        for a, column in list(self.vectors.items()):
+            if a not in atom_vectors:
+                del self.vectors[a]
+                continue
+            column.extend([0] * (n - len(column)))
+            for k, vector in enumerate(atom_vectors[a]):
+                if vector:  # a shift by 0 would copy a wide vector
+                    column[k] |= vector << lanes if lanes else vector
+        self.sized[n] = self.sized.get(n, 0) | mask
+        self.starts.append(lanes)
+        self.lanes += width
+        # one frame's mask is full itself: _layers' mask == full is then cheap
+        self.full = self.full | mask if lanes else mask
+
+    def values(self, nodes: Sequence[Node]) -> list[tuple[int, ...]]:
+        """Truth vectors of every node of a compiled family, all lanes at once."""
+        if self.modalities is None:  # no lanes, nothing to evaluate
+            return [()] * len(nodes)
+        return _truth(nodes, {i: self.rows[i] for i in self.modalities},
+                      {a: tuple(column) for a, column in self.vectors.items()},
+                      self.full, max(self.sized))
+
+    def failing_lane(self, value: Sequence[int]) -> int | None:
+        """The lowest lane where value fails at a slot its frame has, or None."""
+        held, failing = self.full, 0
+        for k, v in enumerate(value, 1):
+            held &= v
+            if k in self.sized:  # frames of k slots fail where slots 0..k-1 do not all hold
+                failing |= self.sized[k] & ~held
+        return (failing & -failing).bit_length() - 1 if failing else None
+
+
 def node_values(models: Iterable[FiniteNModel],
                 nodes: Sequence[Node]) -> list[tuple[int, ...]]:
     """Truth vectors of every node of a compiled family on a stack of
     models, model f in lane f: bit f of a node's vector at slot k is its
     truth at world k of model f. The models are read once, so a generator
     keeps only one of them alive."""
-    rows: BaseRows = {}
-    atom_lanes: dict[str, list[int]] = {}  # per atom and slot: lanes where true
-    modalities: set[int] | None = None
-    names: set[str] | None = None
-    slots = lanes = 0
-    for f, model in enumerate(models):
-        frame, valuation = model.frame, model.valuation
-        _add_base_rows(rows, slot_masks(frame), 1 << f)
-        modalities = set(frame.base) if modalities is None else modalities & set(frame.base)
-        names = set(valuation) if names is None else names & set(valuation)
-        slots, lanes = max(slots, len(frame.worlds)), f + 1
-        for name, ws in valuation.items():
-            per_slot = atom_lanes.setdefault(name, [])
-            per_slot.extend([0] * (len(frame.worlds) - len(per_slot)))
-            for k, w in enumerate(frame.worlds):
-                if w in ws:
-                    per_slot[k] |= 1 << f
-    if modalities is None or names is None:  # no lanes, nothing to evaluate
-        return [()] * len(nodes)
-    vectors = {name: tuple(atom_lanes[name] + [0] * (slots - len(atom_lanes[name])))
-               for name in names}
-    return _truth(nodes, {i: rows[i] for i in modalities}, vectors,
-                  (1 << lanes) - 1, slots)
+    stack = _Lanes()
+    for model in models:
+        worlds = model.frame.worlds
+        stack.add(slot_masks(model.frame),
+                  {a: [w in ws for w in worlds] for a, ws in model.valuation.items()},
+                  1)
+    return stack.values(nodes)
 
 
 def denotation(model: FiniteNModel, phi: Formula) -> frozenset[str]:
@@ -314,10 +355,13 @@ class Counterexample:
                 "world": self.world}
 
 
-def _valuation_vectors(worlds: int, names: Sequence[str]) -> dict[str, list[int]]:
-    """valid_on_frame's atom vectors on a frame of that many worlds: per
-    atom, one vector per world over every valuation. Raises BudgetExceeded
-    past VALUATION_GUARD_BITS (world, atom) pairs."""
+@lru_cache(maxsize=32)
+def _valuation_vectors(worlds: int, names: tuple[str, ...]) -> dict[str, tuple[int, ...]]:
+    """The atom vectors of every valuation on a frame of that many worlds,
+    which valid_on_frame and first_invalid add to a stack: per atom, one
+    vector per world, bit v of pair j's vector being bit j of v. Raises
+    BudgetExceeded past VALUATION_GUARD_BITS (world, atom) pairs. Cached
+    per process (up to 128 KB an entry); stacks shift copies, never these."""
     bits = worlds * len(names)
     if bits > VALUATION_GUARD_BITS:
         raise BudgetExceeded(
@@ -331,7 +375,7 @@ def _valuation_vectors(worlds: int, names: Sequence[str]) -> dict[str, list[int]
             vector |= vector << size
             size *= 2
         vectors[names[j % len(names)]].append(vector)
-    return vectors
+    return {a: tuple(per_world) for a, per_world in vectors.items()}
 
 
 def valid_on_frame(frame: FiniteNFrame, phi: Formula) -> Counterexample | None:
@@ -340,75 +384,23 @@ def valid_on_frame(frame: FiniteNFrame, phi: Formula) -> Counterexample | None:
     Valuations run in binary-counter order over (world, atom) pairs with
     worlds in declaration order and atoms sorted; worlds are scanned in
     declaration order inside each valuation. All valuations are evaluated
-    at once: bit v of pair j's atom vector is bit j of v, so the first
-    counterexample is the lowest bit missing from some world's truth vector.
+    at once, valuation v in lane v of a one-frame stack, so the first
+    counterexample is the lowest lane missing from some world's truth vector.
     """
-    # not a _ValidityStack of one: its presence masks make 2^16 lanes 15-25% slower
     nodes = compile_formula(phi)
-    names = sorted({x for op, x, _ in nodes if op == OP_ATOM})
-    vectors = _valuation_vectors(len(frame.worlds), names)
-    full = (1 << (1 << len(frame.worlds) * len(names))) - 1
-    rows: BaseRows = {}
-    _add_base_rows(rows, slot_masks(frame), full)
-    out = _truth(nodes, rows,
-                 {a: tuple(vector) for a, vector in vectors.items()}, full,
-                 len(frame.worlds))[-1]
-    failing = full & ~reduce(and_, out, full)
-    if not failing:
+    names = tuple(sorted({x for op, x, _ in nodes if op == OP_ATOM}))
+    vectors = _valuation_vectors(len(frame.worlds), names)  # refuses before any lane
+    stack = _Lanes()
+    stack.add(slot_masks(frame), vectors, 1 << len(frame.worlds) * len(names))
+    out = stack.values(nodes)[-1]
+    v = stack.failing_lane(out)
+    if v is None:
         return None
-    v = (failing & -failing).bit_length() - 1
     world = next(w for w, t in zip(frame.worlds, out) if not t >> v & 1)
     pairs = [(w, a) for w in frame.worlds for a in names]
     val = {a: tuple(w for j, (w, b) in enumerate(pairs) if b == a and v >> j & 1)
            for a in names}
     return Counterexample(val, world)
-
-
-class _ValidityStack:
-    """Frames under valid_on_frame's lane scheme, each in a lane range of
-    its own: the frame at position p holds 2^bits lanes from starts[p], its
-    base sets merged under that range and its atom vectors shifted into it."""
-
-    def __init__(self, names: Sequence[str]) -> None:
-        self.names = names
-        self.rows: BaseRows = {}
-        self.vectors: dict[str, list[int]] = {a: [] for a in names}
-        self.present: list[int] = []  # per slot, the lanes of frames with a world there
-        self.starts: list[int] = []
-        self.lanes = 0
-        self.by_size: dict[int, dict[str, list[int]]] = {}  # atom vectors per world count
-
-    def add(self, frame: SlotMasks) -> None:
-        n = frame.slots
-        if n not in self.by_size:
-            self.by_size[n] = _valuation_vectors(n, self.names)
-        width = 1 << n * len(self.names)
-        mask = ((1 << width) - 1) << self.lanes
-        _add_base_rows(self.rows, frame, mask)
-        for a, per_world in self.by_size[n].items():
-            column = self.vectors[a]
-            column.extend([0] * (n - len(column)))
-            for k, vector in enumerate(per_world):
-                column[k] |= vector << self.lanes
-        self.present.extend([0] * (n - len(self.present)))
-        for k in range(n):
-            self.present[k] |= mask
-        self.starts.append(self.lanes)
-        self.lanes += width
-
-    def first_failing(self, nodes: Sequence[Node]) -> int | None:
-        """Position of the first frame with a failing lane, or None."""
-        if not self.starts:
-            return None
-        out = _truth(nodes, self.rows,
-                     {a: tuple(column) for a, column in self.vectors.items()},
-                     (1 << self.lanes) - 1, len(self.present))[-1]
-        failing = 0
-        for lanes, value in zip(self.present, out):
-            failing |= lanes & ~value
-        if not failing:
-            return None
-        return bisect_right(self.starts, (failing & -failing).bit_length() - 1) - 1
 
 
 def first_invalid(frames: Iterable[SlotMasks], phi: Formula) -> int | None:
@@ -420,29 +412,34 @@ def first_invalid(frames: Iterable[SlotMasks], phi: Formula) -> int | None:
 
     Frames come as slot masks, so a caller that builds them itself, as the
     finite sweeps build their products, never names a world. They are
-    stacked, each in lanes of its own, and one walk over phi decides a
-    whole stack. A stack holds at most 2^VALUATION_GUARD_BITS lanes, the
-    bound one frame has; stacks run in order and stop at the first failure
-    or at a refused frame, which gets no lanes. The frames are read once,
-    so a generator keeps only a stack's worth of base sets alive.
+    stacked as valid_on_frame stacks its one frame, each with the lanes of
+    all its valuations, and one walk over phi decides a whole stack. A stack
+    holds at most 2^VALUATION_GUARD_BITS lanes, the bound one frame has;
+    stacks run in order and stop at the first failure or at a refused
+    frame, which gets no lanes. The frames are read once, so a generator
+    keeps only a stack's worth of base sets alive.
     """
     nodes = compile_formula(phi)
-    names = sorted({x for op, x, _ in nodes if op == OP_ATOM})
+    names = tuple(sorted({x for op, x, _ in nodes if op == OP_ATOM}))
     boxes = {x for op, x, _ in nodes if op == OP_BOX}
-    stack, first = _ValidityStack(names), 0  # first: index of the stack's first frame
+    stack, first = _Lanes(), 0  # first: index of the stack's first frame
+
+    def failing() -> int | None:
+        lane = stack.failing_lane(stack.values(nodes)[-1])
+        return None if lane is None else first + bisect_right(stack.starts, lane) - 1
+
     for p, frame in enumerate(frames):
         bits = frame.slots * len(names)
         refused = bits > VALUATION_GUARD_BITS or not boxes <= frame.base.keys()
         if refused or stack.lanes + (1 << bits) > 1 << VALUATION_GUARD_BITS:
-            failing = stack.first_failing(nodes)
-            if failing is not None:
-                return first + failing
+            failed = failing()
+            if failed is not None:
+                return failed
             if refused:
                 return p
-            stack, first = _ValidityStack(names), p
-        stack.add(frame)
-    failing = stack.first_failing(nodes)
-    return None if failing is None else first + failing
+            stack, first = _Lanes(), p
+        stack.add(frame, _valuation_vectors(frame.slots, names), 1 << bits)
+    return failing()
 
 
 @dataclass(frozen=True)
@@ -579,15 +576,17 @@ def check_bounded_morphism(f: Mapping[str, str], source: FiniteNFrame,
 def check_truth_preservation(f: Mapping[str, str], source: FiniteNFrame,
                              target_model: FiniteNModel, depth: int) -> VerificationReport:
     """Pull the target valuation back along f and compare truth pointwise for
-    every generated formula up to the given modal depth."""
+    every generated formula up to the given modal depth over the first two
+    atoms of the valuation, which params["atoms"] names."""
     morphism = check_bounded_morphism(f, source, target_model.frame)
     if not morphism.passed:
         raise ValueError(f"morphism check failed: {morphism.counterexample}")
+    names = sorted(target_model.valuation)
     with VerificationReport(
             lemma="truth-preservation",
             params={"depth": depth, "source_worlds": len(source.worlds),
-                    "target_worlds": len(target_model.frame.worlds)}) as report:
-        names = sorted(target_model.valuation)
+                    "target_worlds": len(target_model.frame.worlds),
+                    "atoms": names[:2]}) as report:
         pulled = {name: frozenset(x for x in source.worlds
                                   if f[x] in target_model.valuation[name])
                   for name in names}

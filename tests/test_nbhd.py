@@ -422,7 +422,12 @@ def test_truth_preservation_identity():
     frame = uniframe(("x", "y"), {"x": [{"y"}], "y": [{"x", "y"}]})
     model = FiniteNModel(frame, {"p": frozenset({"x"})})
     report = check_truth_preservation({"x": "x", "y": "y"}, frame, model, 2)
-    assert report.passed
+    assert report.passed and report.params["atoms"] == ["p"]
+    # the formulas range over the first two atoms; the report names them
+    model = FiniteNModel(frame, {"r": frozenset({"x"}), "p": frozenset(),
+                                 "q": frozenset({"y"})})
+    report = check_truth_preservation({"x": "x", "y": "y"}, frame, model, 1)
+    assert report.passed and report.params["atoms"] == ["p", "q"]
 
 
 def test_truth_preservation_quotient():

@@ -19,7 +19,9 @@ from random import Random
 import nbhdprod
 from nbhdprod.formula import (AxiomScheme, Atom, Bottom, Implies, LOGICS,
                               atoms, axiom_instance, unparse)
-from nbhdprod.nbhd import FiniteNFrame, product_n, valid_on_frame
+from nbhdprod import nbhd
+from nbhdprod.nbhd import (FiniteNFrame, first_invalid, product_n, slot_masks,
+                           valid_on_frame)
 from nbhdprod.sampling import random_nframe, random_nframe_validating
 
 MODAL_SCHEMES = (AxiomScheme.K, AxiomScheme.D, AxiomScheme.T, AxiomScheme.FOUR)
@@ -98,6 +100,27 @@ def test_valid_on_frame_matches_reference_sweep():
             assert got is not None, (frame.to_dict(), unparse(phi))
             assert (got.valuation, got.world) == expected, (frame.to_dict(), unparse(phi))
     assert checked >= 1000 and failing >= 300, (checked, failing)
+
+
+def test_stacking_leaves_the_cached_valuation_vectors_alone():
+    """first_invalid shifts the second of two 3-world frames' atom vectors
+    past the first's lanes; valid_on_frame reads the same cached vectors at
+    lane 0, so they must stay as built and its answers those of the
+    reference."""
+    rng = Random(23)
+    frames = [frame for frame in (random_nframe(rng, max_worlds=3) for _ in range(40))
+              if len(frame.worlds) == 3]
+    for scheme in (AxiomScheme.T, AxiomScheme.K):
+        phi = axiom_instance(scheme, 1)
+        names = tuple(sorted(atoms(phi)))
+        first_invalid([slot_masks(frame) for frame in frames[:2]], phi)
+        assert nbhd._valuation_vectors(3, names) == \
+            nbhd._valuation_vectors.__wrapped__(3, names), unparse(phi)
+        for frame in frames:
+            got = valid_on_frame(frame, phi)
+            expected = reference_valid(frame, phi)
+            assert (None if got is None else (got.valuation, got.world)) == expected, \
+                (frame.to_dict(), unparse(phi))
 
 
 _DRAW_FRAMES = ("import json, random\n"
