@@ -441,6 +441,48 @@ def test_malformed_relational_frame_exits_2(capsys, tmp_path):
     assert err.startswith("usage error: $.rel.1: ")
 
 
+_AB = {"worlds": ["a", "b"], "base": {"1": {"a": [["a"]], "b": [["b"]]}}}
+
+
+@pytest.mark.parametrize("command,data,message", [
+    ("valid", {"worlds": ["a"], "base": {"1": {"a": "a"}}},
+     "$.base.1.a: expected list, got str"),
+    ("valid", {"worlds": ["a"], "base": {"1": {"a": ["a"]}}},
+     "$.base.1.a[0]: expected list, got str"),
+    ("valid", {"worlds": ["a", "b"], "base": {"1": {"a": [["a"]], "b": [["b", 3]]}}},
+     "$.base.1.b[0][1]: expected a world name, got 3"),
+    ("valid", {"worlds": ["a", 3], "base": {"1": {"a": [["a"]]}}},
+     "$.worlds[1]: expected a world name, got 3"),
+    ("valid", {"worlds": ["a", "b"],
+               "base": {"1": {"a": [["a"]], "b": [["b"], ["a", "zz"]]}}},
+     "$.base.1.b[1][1]: unknown world 'zz'"),
+    ("valid", {"worlds": ["a"], "base": {"1": {"a": [["a"]], "c": []}}},
+     "$.base.1: world 'c' is not in $.worlds"),
+    ("valid", {"worlds": ["a"], "base": {"3": {"a": [["a"]]}}},
+     "$.base.3: modality must be 1 or 2"),
+    ("mc", {**_AB, "val": {"p": ["a", "zz"]}}, "$.val.p[1]: unknown world 'zz'"),
+    ("mc", {**_AB, "val": {"p": "a"}}, "$.val.p: expected list, got str"),
+    ("mc", {**_AB, "val": ["a"]}, "$.val: expected dict, got list"),
+    ("nof", {"worlds": ["w"], "rel": {"1": ["w"]}}, "$.rel.1[0]: expected list, got str"),
+    ("nof", {"worlds": ["w", "v"], "rel": {"1": [["w", "v"], ["v", 1]]}},
+     "$.rel.1[1][1]: expected a world name, got 1"),
+    ("nof", {"worlds": ["w"], "rel": {"1": [["w", "zz"]]}},
+     "$.rel.1[0][1]: unknown world 'zz'"),
+    ("nof", {"worlds": ["w"], "rel": {"1": [["w", "w", "w"]]}},
+     "$.rel.1: an edge is not a pair of worlds"),
+])
+def test_malformed_inputs_name_their_first_bad_part(capsys, tmp_path, command, data,
+                                                    message):
+    """The whole message, path and reason, of the first malformed part."""
+    frame = tmp_path / "frame.json"
+    frame.write_text(json.dumps(data), encoding="utf-8")
+    flag = "--model" if command == "mc" else "--frame"
+    formula = () if command == "nof" else ("--formula", "p")
+    code, out, err = run_cli(capsys, command, flag, str(frame), *formula)
+    assert (code, out) == (2, "")
+    assert err == f"usage error: {message}\n"
+
+
 @pytest.mark.parametrize("text", [
     "~" * 3000 + "p",
     "(" * 3000 + "p" + ")" * 3000,
