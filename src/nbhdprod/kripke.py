@@ -275,6 +275,14 @@ def _worlds(value: Any, path: str, known: Collection[str] | None = None) -> list
     return value
 
 
+def _known_lists(value: Any, known: Collection[str]) -> bool:
+    """Whether value is a list of lists of names in known, checked in one
+    pass: a parse that succeeds builds no path naming a malformed part."""
+    return isinstance(value, list) and all(
+        isinstance(u, list) and all(isinstance(w, str) and w in known for w in u)
+        for u in value)
+
+
 def _modality(key: Any, path: str) -> int:
     if str(key) not in ("1", "2"):
         raise ValueError(f"{path}: modality must be 1 or 2")
@@ -324,11 +332,12 @@ class FiniteKripkeFrame:
         rel = {}
         for key, pairs in _expect(data.get("rel"), dict, "$.rel").items():
             path = f"$.rel.{key}"
-            edges = [_worlds(e, f"{path}[{n}]", known)
-                     for n, e in enumerate(_expect(pairs, list, path))]
-            if any(len(e) != 2 for e in edges):
+            if not _known_lists(pairs, known):  # name the first malformed edge
+                for n, e in enumerate(_expect(pairs, list, path)):
+                    _worlds(e, f"{path}[{n}]", known)
+            if any(len(e) != 2 for e in pairs):
                 raise ValueError(f"{path}: an edge is not a pair of worlds")
-            rel[_modality(key, path)] = frozenset((a, b) for a, b in edges)
+            rel[_modality(key, path)] = frozenset((a, b) for a, b in pairs)
         return cls(tuple(worlds), rel)
 
 
@@ -343,6 +352,7 @@ def node_values(frames: Sequence[FiniteKripkeFrame],
     of frame f, so one walk over the nodes evaluates the whole stack. A box
     takes one big-int step per slot: into[j] marks the (slot, lane) bits
     that see slot j, and the body's lanes at j are copied into every slot.
+    Each distinct (modality, body) is boxed once per walk.
     """
     if not frames:  # no lanes, nothing to evaluate
         return [0] * len(nodes)
@@ -366,6 +376,7 @@ def node_values(frames: Sequence[FiniteKripkeFrame],
                     raise ValueError(f"unknown world {w!r} in valuation")
                 if name in atom_masks:
                     atom_masks[name] |= 1 << index[w] * lanes + f
+    boxed: dict[tuple[int, int], int] = {}
     values: list[int] = []
     for op, x, y in nodes:
         if op == OP_BOTTOM:
@@ -380,9 +391,12 @@ def node_values(frames: Sequence[FiniteKripkeFrame],
             if x not in into:
                 raise ValueError(f"frame has no modality {x}")
             body = values[y]
-            out = full
-            for j, seen_by in enumerate(into[x]):
-                out &= ~seen_by | (body >> j * lanes & lane_bits) * spread
+            out = boxed.get((x, body))
+            if out is None:
+                out = full
+                for j, seen_by in enumerate(into[x]):
+                    out &= ~seen_by | (body >> j * lanes & lane_bits) * spread
+                boxed[x, body] = out
         values.append(out)
     return values
 

@@ -19,7 +19,7 @@ from typing import Any, Iterable, Mapping, Sequence
 from .formula import (OP_ATOM, OP_BOTTOM, OP_BOX, OP_IMPLIES, Formula, Node,
                       compile_formula, compile_formulas, generate_formulas,
                       modalities_of, unparse)
-from .kripke import FiniteKripkeFrame, _expect, _modality, _worlds
+from .kripke import FiniteKripkeFrame, _expect, _known_lists, _modality, _worlds
 from .report import BudgetExceeded, VerificationReport
 
 VALUATION_GUARD_BITS = 16
@@ -61,10 +61,12 @@ class FiniteNFrame:
                 if w not in known or w not in per_world:
                     what = "has no base sets" if w in known else "is not in $.worlds"
                     raise ValueError(f"{path}: world {w!r} {what}")
-            base[_modality(key, path)] = {
-                w: tuple(frozenset(_worlds(u, f"{path}.{w}[{n}]", known))
-                         for n, u in enumerate(_expect(sets, list, f"{path}.{w}")))
-                for w, sets in per_world.items()}
+            for w, sets in per_world.items():
+                if not _known_lists(sets, known):  # name the first malformed set
+                    for n, u in enumerate(_expect(sets, list, f"{path}.{w}")):
+                        _worlds(u, f"{path}.{w}[{n}]", known)
+            base[_modality(key, path)] = {w: tuple(map(frozenset, sets))
+                                          for w, sets in per_world.items()}
         return cls(tuple(worlds), base)
 
 
@@ -130,9 +132,11 @@ class FiniteNModel:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FiniteNModel":
         frame = FiniteNFrame.from_dict(data)
-        val = {name: frozenset(_worlds(ws, f"$.val.{name}", frame.worlds))
-               for name, ws in _expect(data.get("val", {}), dict, "$.val").items()}
-        return cls(frame, val)
+        val, known = _expect(data.get("val", {}), dict, "$.val"), set(frame.worlds)
+        if not _known_lists(list(val.values()), known):  # name the first malformed one
+            for name, ws in val.items():
+                _worlds(ws, f"$.val.{name}", known)
+        return cls(frame, {name: frozenset(ws) for name, ws in val.items()})
 
 
 # --- satisfaction over truth vectors ----------------------------------------------
@@ -178,20 +182,21 @@ def _add_base_rows(rows: BaseRows, frame: SlotMasks, lanes: int) -> None:
                 at[key] = at[key] | lanes if key in at else lanes
 
 
-def _members(key: int) -> list[int]:
+def _members(key: int) -> tuple[int, ...]:
     """The slots of a base set given as a mask of slots, lowest first."""
     u = []
     while key:
         low = key & -key
         u.append(low.bit_length() - 1)
         key ^= low
-    return u
+    return tuple(u)
 
 
-Layer = tuple[int, list[int], Sequence[tuple[int, int]]]
+Layer = tuple[int, Sequence[int], Sequence[tuple[int, int]]]
 
 
-def _layers(row: dict[int, int], full: int) -> list[Layer]:
+def _layers(row: dict[int, int], full: int,
+            members: dict[int, tuple[int, ...]]) -> list[Layer]:
     """A slot's base sets, packed into layers of at most one set per lane.
 
     A layer is (lanes H, the slots every set of the layer holds, and per
@@ -200,12 +205,13 @@ def _layers(row: dict[int, int], full: int) -> list[Layer]:
     widened by its missing lanes, is set. A lane whose set is empty misses
     every slot, so the box holds there; a lane with no set at the slot is
     in no layer, so it fails there. A set that covers every lane, as every
-    set does on one frame or one model, is a layer of its own.
+    set does on one frame or one model, is a layer of its own. members
+    holds the slots of every set decoded so far.
     """
     layers: list[Layer] = []
     shared: list[tuple[int, dict[int, int]]] = []  # (H, slot -> lanes holding it)
     for key, mask in row.items():
-        u = _members(key)
+        u = members[key] if key in members else members.setdefault(key, _members(key))
         if mask == full:
             layers.append((mask, u, ()))
             continue
@@ -227,11 +233,17 @@ def _layers(row: dict[int, int], full: int) -> list[Layer]:
 def _truth(nodes: Sequence[Node], rows: BaseRows,
            atom_vectors: Mapping[str, tuple[int, ...]], full: int,
            slots: int) -> list[tuple[int, ...]]:
-    """Truth vectors of every node; full has a bit for every lane."""
-    layers = {i: [_layers(row, full) for row in per_slot]
-              for i, per_slot in rows.items()}
+    """Truth vectors of every node; full has a bit for every lane. Layers
+    are built for the modalities some box reads, each base set decoded once."""
+    members: dict[int, tuple[int, ...]] = {}
+    layers = {i: [_layers(row, full, members) for row in rows[i]]
+              for i in {x for op, x, _ in nodes if op == OP_BOX} & rows.keys()}
     # equal values share one tuple: on a stack many formulas agree everywhere
     shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+    # each distinct step runs once: the node that boxed (modality, body) or
+    # implied (antecedent, consequent). Shared values live all walk, so their
+    # identities are exact keys, and a repeat hashes no wide tuple.
+    done: dict[tuple[int, int, int], int] = {}
     values: list[tuple[int, ...]] = []
     for op, x, y in nodes:
         if op == OP_BOTTOM:
@@ -240,11 +252,16 @@ def _truth(nodes: Sequence[Node], rows: BaseRows,
             if x not in atom_vectors:
                 raise ValueError(f"unknown atom {x!r}")
             out = atom_vectors[x]
+        elif (key := (op, x if op == OP_BOX else id(values[x]), id(values[y]))) in done:
+            values.append(values[done[key]])
+            continue
         elif op == OP_IMPLIES:
+            done[key] = len(values)
             out = tuple([(full & ~a) | b for a, b in zip(values[x], values[y])])
         else:
             if x not in layers:
                 raise ValueError(f"frame has no modality {x}")
+            done[key] = len(values)
             # the monotone clause: some base set lies inside the body's truth
             # set, decided for every lane of a layer at once
             body = values[y]

@@ -140,6 +140,8 @@ def nf_agreement_sweep(seed: int, n_frames: int = 100, max_worlds: int = 4,
     frame and formula by formula, so the first counterexample is the first
     failing formula of the lowest failing frame.
     """
+    if n_frames < 1:  # a sweep of nothing would pass having checked nothing
+        raise ValueError(f"n_frames must be >= 1, got {n_frames}")
     with VerificationReport(
             lemma="nf-agreement",
             params={"seed": seed, "frames": n_frames, "max_worlds": max_worlds,
@@ -155,19 +157,20 @@ def nf_agreement_sweep(seed: int, n_frames: int = 100, max_worlds: int = 4,
         neighborhood = node_values((FiniteNModel(nof(frame), val)
                                     for frame, val in zip(frames, valuations)), nodes)
         # in kripke's layout, slot k of frame f at bit k * n_frames + f: the
-        # slots frames have, and each distinct neighborhood value (node_values
-        # shares equal ones) packed once
+        # slots frames have, and each distinct neighborhood value packed
+        # once, by identity (node_values shares equal ones)
         present = sum(1 << k * n_frames + f for f, frame in enumerate(frames)
                       for k in range(len(frame.worlds)))
-        packed: dict[tuple[int, ...], int] = {}
+        packed: dict[int, int] = {}
         lane_bits = (1 << n_frames) - 1
         first: tuple[int, int] | None = None  # (lane, formula)
         for n, r in enumerate(roots):
             vectors = neighborhood[r]
-            if vectors not in packed:
-                packed[vectors] = sum(vector << k * n_frames
-                                      for k, vector in enumerate(vectors))
-            failing = (relational[r] ^ packed[vectors]) & present
+            key = id(vectors)
+            if key not in packed:
+                packed[key] = sum(vector << k * n_frames
+                                  for k, vector in enumerate(vectors))
+            failing = (relational[r] ^ packed[key]) & present
             if failing:
                 lanes = 0
                 while failing:  # fold the slots onto the lanes
@@ -215,6 +218,8 @@ def fusion_soundness_sweep(seed: int, n_pairs: int = 100,
     pair-by-pair loop: product_n builds that pair's named product, and
     valid_on_frame on it gives the counterexample or raises the refusal.
     """
+    if n_pairs < 1:  # a sweep of nothing would pass having checked nothing
+        raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
     with VerificationReport(
             lemma="fusion-axioms",
             params={"seed": seed, "pairs": n_pairs,
@@ -265,6 +270,8 @@ def finite_com_sweep(seed: int, n_pairs: int = 100) -> VerificationReport:
     pair of the first failure is drawn again, and product_n builds its
     named product for the report.
     """
+    if n_pairs < 1:  # a sweep of nothing would pass having checked nothing
+        raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
     with VerificationReport(
             lemma="finite-com",
             params={"seed": seed, "pairs": n_pairs}) as report:

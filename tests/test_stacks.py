@@ -19,6 +19,11 @@ pair-major loops, kept here, report. The sweeps build each product's masks
 from its factors' with nbhd.product_masks and never validate a factor, so
 the masks must be those of product_n, and every factor they draw must be
 valid.
+
+A walk over a family computes each distinct step once: a box by its
+modality and body, an implication by its operands in order. So a family
+walked at once must give every formula the value of its walk alone, in
+both nbhd walks and in the relational one.
 """
 
 import itertools
@@ -29,9 +34,9 @@ from random import Random
 import pytest
 
 from nbhdprod import nbhd, sampling
-from nbhdprod.formula import (LOGICS, OP_ATOM, OP_BOTTOM, OP_IMPLIES, AxiomScheme,
-                              axiom_instance, compile_formulas, fusion_axioms,
-                              generate_formulas, parse, unparse)
+from nbhdprod.formula import (LOGICS, OP_ATOM, OP_BOTTOM, OP_IMPLIES, AxiomScheme, atoms,
+                              axiom_instance, compile_formula, compile_formulas,
+                              fusion_axioms, generate_formulas, parse, unparse)
 from nbhdprod.kripke import FiniteKripkeFrame
 from nbhdprod.kripke import denotation as kripke_denotation
 from nbhdprod.kripke import node_values as kripke_values
@@ -84,7 +89,23 @@ def test_sweep_matches_frame_major_loop(seed):
     {"n_frames": 6, "depth": 0, "atom_names": ()},
 ])
 def test_sweep_edge_sizes_match_frame_major_loop(kwargs):
-    assert_matches_reference(seed=3, **kwargs)
+    """The loop passes on no frames having checked nothing; the sweep
+    refuses that size."""
+    if kwargs["n_frames"] < 1:
+        with pytest.raises(ValueError, match="^n_frames must be >= 1, got 0$"):
+            nf_agreement_sweep(seed=3, **kwargs)
+    else:
+        assert_matches_reference(seed=3, **kwargs)
+
+
+@pytest.mark.parametrize("sweep,size", [(nf_agreement_sweep, "n_frames"),
+                                        (fusion_soundness_sweep, "n_pairs"),
+                                        (finite_com_sweep, "n_pairs")])
+def test_sweeps_of_nothing_are_refused(sweep, size):
+    """A sweep with nothing to check never reports a pass."""
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=f"^{size} must be >= 1, got {n}$"):
+            sweep(0, **{size: n})
 
 
 def _forgets_last_world(frame):
@@ -148,6 +169,83 @@ def test_stacks_match_per_frame_denotations():
             lane = {w for w, vector in zip(frame.worlds, neighborhood[r])
                     if vector >> f & 1}
             assert lane == denotation(model, phi), unparse(phi)
+
+
+# --- one walk computes each distinct step once ------------------------------------
+
+# The same body under [1] and [2], implications both ways round, and the
+# depth-1 family over p and q: a walk that reused a step keyed without its
+# modality, or with its operands unordered, would give one formula of a
+# pair the other's value, which the formula alone does not have.
+SHARED_STEPS = [parse(text) for text in (
+    "[1](p -> q)", "[2](p -> q)", "p -> q", "q -> p", "(p -> q) -> q -> p",
+    "[1](p -> q) -> [2](p -> q)", "[2](q -> p) -> [1](p -> q)",
+    "[1][2] p -> [2][1] q", "[2][1] q -> [1][2] p")] + list(generate_formulas(1, ("p", "q")))
+
+
+def _bimodal(rng, n):
+    """n worlds, one or two nested random base sets per world and modality."""
+    worlds = tuple(f"w{k}" for k in range(n))
+
+    def sets():
+        outer = frozenset(w for w in worlds if rng.random() < 0.6)
+        return (outer, frozenset(w for w in outer if rng.random() < 0.6))[:rng.randint(1, 2)]
+
+    return FiniteNFrame(worlds, {i: {w: sets() for w in worlds} for i in (1, 2)})
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_family_walk_matches_each_formula_alone(seed):
+    """On a stack of 12 models of 1 to 4 worlds, the family walked at once
+    gives each formula the value of its walk alone."""
+    rng = Random(seed)
+    models = []
+    for _ in range(12):
+        frame = _bimodal(rng, rng.randint(1, 4))
+        models.append(FiniteNModel(frame, sampling.random_valuation(rng, frame.worlds, "pq")))
+    nodes, roots = compile_formulas(SHARED_STEPS)
+    family = node_values(models, nodes)
+    for phi, r in zip(SHARED_STEPS, roots):
+        assert family[r] == node_values(models, compile_formula(phi))[-1], unparse(phi)
+
+
+def test_one_frame_family_walk_matches_each_formula_alone(monkeypatch):
+    """valid_on_frame on an 8-world frame gives each formula over p and q
+    the 2^16 lanes of all its valuations; the family walked at once on that
+    stack gives each formula the root value of valid_on_frame's walk."""
+    frame = _bimodal(Random(6), 8)
+    walks = []
+    truth = nbhd._truth
+
+    def recording(nodes, rows, vectors, full, slots):
+        values = truth(nodes, rows, vectors, full, slots)
+        walks.append(((rows, vectors, full, slots), values[-1]))
+        return values
+
+    monkeypatch.setattr(nbhd, "_truth", recording)
+    formulas = [phi for phi in SHARED_STEPS if atoms(phi) == {"p", "q"}]
+    answers = {valid_on_frame(frame, phi) is None for phi in formulas}
+    assert answers == {True, False}
+    stack = walks[0][0]
+    assert stack[2] == (1 << (1 << 16)) - 1 and all(walk[0] == stack for walk in walks)
+    nodes, roots = compile_formulas(formulas)
+    family = truth(nodes, *stack)
+    for phi, r, (_, alone) in zip(formulas, roots, walks):
+        assert family[r] == alone, unparse(phi)
+
+
+def test_relational_family_walk_matches_each_denotation():
+    """kripke.node_values walks the family once over 12 frames; every
+    formula's value there is its relational denotation, frame by frame."""
+    rng = Random(9)
+    frames = [sampling.random_kripke_frame(rng, 4) for _ in range(12)]
+    valuations = [sampling.random_valuation(rng, frame.worlds, "pq") for frame in frames]
+    nodes, roots = compile_formulas(SHARED_STEPS)
+    family = kripke_values(frames, valuations, nodes)
+    for phi, r in zip(SHARED_STEPS, roots):
+        for f, (frame, val) in enumerate(zip(frames, valuations)):
+            assert {w for k, w in enumerate(frame.worlds) if family[r] >> k * 12 + f & 1} \
+                == kripke_denotation(frame, val, phi), (unparse(phi), f)
 
 
 def test_stack_errors():
@@ -414,7 +512,14 @@ def test_sweeps_match_pair_major_loops(seed):
 
 @pytest.mark.parametrize("n_pairs", [0, 1, 17])
 def test_sweep_sizes_match_pair_major_loops(n_pairs):
+    """The loops pass on no pairs having checked nothing; the sweeps refuse
+    that size."""
     for seed in range(3):
+        if n_pairs < 1:
+            for sweep in (finite_com_sweep, fusion_soundness_sweep):
+                with pytest.raises(ValueError, match="^n_pairs must be >= 1, got 0$"):
+                    sweep(seed, n_pairs=n_pairs)
+            continue
         com, _ = assert_sweeps_match(seed, n_pairs=n_pairs)
         assert com == (n_pairs, None)
 
