@@ -192,8 +192,7 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        kind = next(k for k in ("ws", "arrow", "amp", "pipe", "tilde", "lpar",
-                                "rpar", "box", "dia", "ident") if m.group(k))
+        kind = m.lastgroup  # the alternative's group: it closes after its index group
         if kind == "ws":
             pos = m.end()
             continue

@@ -275,12 +275,19 @@ def _worlds(value: Any, path: str, known: Collection[str] | None = None) -> list
     return value
 
 
-def _known_lists(value: Any, known: Collection[str]) -> bool:
-    """Whether value is a list of lists of names in known, checked in one
-    pass: a parse that succeeds builds no path naming a malformed part."""
-    return isinstance(value, list) and all(
-        isinstance(u, list) and all(isinstance(w, str) and w in known for w in u)
-        for u in value)
+def _world_lists(value: Any, kind: type, known: Collection[str], *path: str) -> Any:
+    """value, checked in one pass to be a kind (list or dict) of lists of
+    names in known. Only if it is not is it walked again, to raise the
+    ValueError naming its first malformed part (item n at path[n], key k at
+    path.k), so a parse that succeeds joins no path: path comes in parts."""
+    if isinstance(value, kind) and all(
+            isinstance(u, list) and all(isinstance(w, str) and w in known for w in u)
+            for u in (value.values() if kind is dict else value)):
+        return value
+    where = ".".join(path)
+    items = _expect(value, kind, where)
+    for key, u in items.items() if kind is dict else enumerate(items):
+        _worlds(u, f"{where}.{key}" if kind is dict else f"{where}[{key}]", known)
 
 
 def _modality(key: Any, path: str) -> int:
@@ -332,9 +339,7 @@ class FiniteKripkeFrame:
         rel = {}
         for key, pairs in _expect(data.get("rel"), dict, "$.rel").items():
             path = f"$.rel.{key}"
-            if not _known_lists(pairs, known):  # name the first malformed edge
-                for n, e in enumerate(_expect(pairs, list, path)):
-                    _worlds(e, f"{path}[{n}]", known)
+            _world_lists(pairs, list, known, path)
             if any(len(e) != 2 for e in pairs):
                 raise ValueError(f"{path}: an edge is not a pair of worlds")
             rel[_modality(key, path)] = frozenset((a, b) for a, b in pairs)

@@ -19,7 +19,7 @@ from typing import Any, Iterable, Mapping, Sequence
 from .formula import (OP_ATOM, OP_BOTTOM, OP_BOX, OP_IMPLIES, Formula, Node,
                       compile_formula, compile_formulas, generate_formulas,
                       modalities_of, unparse)
-from .kripke import FiniteKripkeFrame, _expect, _known_lists, _modality, _worlds
+from .kripke import FiniteKripkeFrame, _expect, _modality, _world_lists, _worlds
 from .report import BudgetExceeded, VerificationReport
 
 VALUATION_GUARD_BITS = 16
@@ -62,9 +62,7 @@ class FiniteNFrame:
                     what = "has no base sets" if w in known else "is not in $.worlds"
                     raise ValueError(f"{path}: world {w!r} {what}")
             for w, sets in per_world.items():
-                if not _known_lists(sets, known):  # name the first malformed set
-                    for n, u in enumerate(_expect(sets, list, f"{path}.{w}")):
-                        _worlds(u, f"{path}.{w}[{n}]", known)
+                _world_lists(sets, list, known, path, w)
             base[_modality(key, path)] = {w: tuple(map(frozenset, sets))
                                           for w, sets in per_world.items()}
         return cls(tuple(worlds), base)
@@ -132,10 +130,7 @@ class FiniteNModel:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FiniteNModel":
         frame = FiniteNFrame.from_dict(data)
-        val, known = _expect(data.get("val", {}), dict, "$.val"), set(frame.worlds)
-        if not _known_lists(list(val.values()), known):  # name the first malformed one
-            for name, ws in val.items():
-                _worlds(ws, f"$.val.{name}", known)
+        val = _world_lists(data.get("val", {}), dict, set(frame.worlds), "$.val")
         return cls(frame, {name: frozenset(ws) for name, ws in val.items()})
 
 

@@ -14,7 +14,7 @@ import itertools
 from random import Random
 from typing import Iterable, Iterator, Sequence
 
-from .formula import (AxiomScheme, LOGICS, Node, axiom_instance,
+from .formula import (AxiomScheme, Formula, LOGICS, Node, axiom_instance,
                       compile_formulas, fusion_axioms, generate_formulas,
                       unparse)
 from .kripke import FiniteKripkeFrame
@@ -62,38 +62,27 @@ def random_nframe(rng: Random, max_worlds: int = 3,
     return FiniteNFrame(worlds, {1: per_world})
 
 
-# the frame condition each defining axiom of a logic in LOGICS asks for
-_CLOSE_FOR = {
-    AxiomScheme.D: "serial",
-    AxiomScheme.T: "reflexive",
-    AxiomScheme.FOUR: "transitive",
-}
-
-
 def random_nframe_validating(rng: Random, logic: str,
                              max_worlds: int = 3) -> FiniteNFrame:
     """A unimodal frame validating the logic's defining axioms, built by
-    closing a random relation and taking its neighborhood frame."""
+    closing a random relation under the condition each asks for (T:
+    reflexive, D: serial, 4: transitive) and taking its neighborhood frame."""
     if logic not in LOGICS:
         raise ValueError(f"unknown logic {logic!r}")
-    close = {_CLOSE_FOR[scheme] for scheme in LOGICS[logic]}
+    schemes = LOGICS[logic]
     n = rng.randint(1, max_worlds)
     worlds = tuple(f"w{i}" for i in range(n))
     pairs = {(a, b) for a in worlds for b in worlds if rng.random() < 0.4}
-    if "reflexive" in close:
+    if AxiomScheme.T in schemes:
         pairs |= {(w, w) for w in worlds}
-    if "serial" in close:
+    if AxiomScheme.D in schemes:
         for w in worlds:
             if not any(a == w for a, _ in pairs):
                 pairs.add((w, rng.choice(worlds)))
-    if "transitive" in close:
-        changed = True
-        while changed:
-            changed = False
-            for (a, b), (c, d) in itertools.product(tuple(pairs), repeat=2):
-                if b == c and (a, d) not in pairs:
-                    pairs.add((a, d))
-                    changed = True
+    if AxiomScheme.FOUR in schemes:  # Warshall: m links its in-edges to its out-edges
+        for m in worlds:
+            pairs.update(itertools.product([a for a, b in pairs if b == m],
+                                           [b for a, b in pairs if a == m]))
     return nof(FiniteKripkeFrame(worlds, {1: frozenset(pairs)}))
 
 
@@ -192,6 +181,29 @@ def nf_agreement_sweep(seed: int, n_frames: int = 100, max_worlds: int = 4,
     return report
 
 
+def _first_failure(pairs: Sequence[tuple[FiniteNFrame, FiniteNFrame]],
+                   owed: Sequence[Sequence[Formula]]
+                   ) -> tuple[int, tuple[int, int] | None]:
+    """The obligations are (n, j), formula owed[n][j] on the product of
+    pairs[n]. Each product is built once, as slot masks (product_masks: the
+    factors are valid by construction, so none is validated again), and
+    each distinct formula is decided once, by first_invalid over the
+    products that owe it. Returns the count a loop over the obligations in
+    order checks, and the least one that fails or that valid_on_frame
+    refuses (None if none does)."""
+    products = [product_masks(frame1, frame2) for frame1, frame2 in pairs]
+    by_formula: dict[Formula, list[tuple[int, int]]] = {}
+    for n, formulas in enumerate(owed):
+        for j, phi in enumerate(formulas):
+            by_formula.setdefault(phi, []).append((n, j))
+    answers = ((obligations, first_invalid((products[n] for n, _ in obligations), phi))
+               for phi, obligations in by_formula.items())
+    first = min((obligations[k] for obligations, k in answers if k is not None), default=None)
+    if first is None:
+        return sum(map(len, owed)), None
+    return sum(map(len, owed[:first[0]])) + first[1] + 1, first
+
+
 def _fusion_pairs(seed: int, n_pairs: int, max_worlds: int
                   ) -> Iterator[tuple[str, str, FiniteNFrame, FiniteNFrame]]:
     """The fusion sweep's draws: the logic pair cycles through all sixteen
@@ -208,16 +220,9 @@ def fusion_soundness_sweep(seed: int, n_pairs: int = 100,
                            max_worlds: int = 3) -> VerificationReport:
     """Products of frames validating two of D, T, D4, S4 validate every
     fusion axiom; the logic pair cycles through all sixteen combinations.
-
-    The obligations are (pair, axiom position), pair by pair. Each product
-    is built once, as slot masks from its factors (product_masks: the
-    factors are valid by construction, so none is validated again), and
-    each distinct axiom is decided once over the stack of the products
-    that owe it. The first failure is the least obligation that fails or
-    that valid_on_frame refuses, so checked and the report are those of the
-    pair-by-pair loop: product_n builds that pair's named product, and
-    valid_on_frame on it gives the counterexample or raises the refusal.
-    """
+    _first_failure decides the (pair, axiom position) obligations; product_n
+    names a failing pair's product, and valid_on_frame on it gives the
+    counterexample or raises the refusal."""
     if n_pairs < 1:  # a sweep of nothing would pass having checked nothing
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
     with VerificationReport(
@@ -225,32 +230,17 @@ def fusion_soundness_sweep(seed: int, n_pairs: int = 100,
             params={"seed": seed, "pairs": n_pairs,
                     "max_worlds": max_worlds}) as report:
         pairs = list(_fusion_pairs(seed, n_pairs, max_worlds))
-        drawn, products, owed = [], [], {}  # owed: axiom -> (pair, position) obligations
-        for n, (logic1, logic2, frame1, frame2) in enumerate(pairs):
-            products.append(product_masks(frame1, frame2))
-            drawn.append(fusion_axioms(logic1, logic2))
-            for j, phi in enumerate(drawn[-1]):
-                owed.setdefault(phi, []).append((n, j))
-        first: tuple[int, int] | None = None
-        for phi, obligations in owed.items():
-            if first is not None:  # only obligations before it can move it
-                obligations = [o for o in obligations if o < first]
-            failing = first_invalid((products[n] for n, _ in obligations), phi)
-            if failing is not None:
-                first = obligations[failing]
-        if first is None:
-            report.checked = sum(map(len, drawn))
-        else:
+        owed = [fusion_axioms(logic1, logic2) for logic1, logic2, _, _ in pairs]
+        report.checked, first = _first_failure([pair[2:] for pair in pairs], owed)
+        if first is not None:
             n, j = first
-            report.checked = sum(map(len, drawn[:n])) + j + 1
             logic1, logic2, frame1, frame2 = pairs[n]
-            phi = drawn[n][j]
             return report.fail({"logics": [logic1, logic2],
-                                "formula": unparse(phi),
+                                "formula": unparse(owed[n][j]),
                                 "frame1": frame1.to_dict(),
                                 "frame2": frame2.to_dict(),
                                 "counterexample": valid_on_frame(
-                                    product_n(frame1, frame2), phi).to_dict()})
+                                    product_n(frame1, frame2), owed[n][j]).to_dict()})
     return report
 
 
@@ -263,26 +253,17 @@ def _com_pairs(seed: int, n_pairs: int) -> Iterator[tuple[FiniteNFrame, FiniteNF
 def finite_com_sweep(seed: int, n_pairs: int = 100) -> VerificationReport:
     """The commutation scheme holds on every product of finite frames (the
     filters are principal); its failure needs the infinite construction.
-
-    Com is decided once over the stack of all products, each built as its
-    pair is drawn, as slot masks from the factors' (product_masks: the
-    factors are valid by construction, so none is validated again). The
-    pair of the first failure is drawn again, and product_n builds its
-    named product for the report.
-    """
+    _first_failure decides Com on every pair's product."""
     if n_pairs < 1:  # a sweep of nothing would pass having checked nothing
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
     with VerificationReport(
             lemma="finite-com",
             params={"seed": seed, "pairs": n_pairs}) as report:
         com = axiom_instance(AxiomScheme.COM)
-        first = first_invalid((product_masks(frame1, frame2)
-                               for frame1, frame2 in _com_pairs(seed, n_pairs)), com)
-        if first is None:
-            report.checked = n_pairs
-        else:
-            report.checked = first + 1
-            frame1, frame2 = next(itertools.islice(_com_pairs(seed, n_pairs), first, None))
+        pairs = list(_com_pairs(seed, n_pairs))
+        report.checked, first = _first_failure(pairs, [(com,)] * n_pairs)
+        if first is not None:
+            frame1, frame2 = pairs[first[0]]
             return report.fail({"frame1": frame1.to_dict(),
                                 "frame2": frame2.to_dict(),
                                 "counterexample": valid_on_frame(

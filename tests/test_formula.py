@@ -11,7 +11,7 @@ from nbhdprod.formula import (OP_ATOM, OP_BOTTOM, OP_BOX, OP_IMPLIES, Atom,
                               axiom_instance, box, compile_formula,
                               compile_formulas, diamond,
                               fusion_axioms, generate_formulas, implies,
-                              modal_depth, not_, or_, parse, top, unparse)
+                              modal_depth, not_, or_, parse, top, unparse, _tokenize)
 from nbhdprod.report import BudgetExceeded
 
 
@@ -54,6 +54,15 @@ def test_precedence_and_associativity():
                                            implies(atom("q"), atom("r")))
     assert parse("p & q | r") == or_(and_(atom("p"), atom("q")), atom("r"))
     assert parse("~p & q") == and_(not_(atom("p")), atom("q"))
+
+
+def test_tokens_of_every_kind():
+    """Every token kind, boxes and diamonds with and without an index."""
+    assert [(kind, value) for kind, value, _ in _tokenize(
+        "[2]<>p1 -> ~(q & r) | [ ] <1> false")] == [
+        ("box", 2), ("dia", 1), ("ident", "p1"), ("arrow", "->"), ("tilde", "~"),
+        ("lpar", "("), ("ident", "q"), ("amp", "&"), ("ident", "r"), ("rpar", ")"),
+        ("pipe", "|"), ("box", 1), ("dia", 1), ("false", "false"), ("eof", "")]
 
 
 def test_unimodal_sugar_is_modality_one():

@@ -209,6 +209,15 @@ def test_family_walk_matches_each_formula_alone(seed):
         assert family[r] == node_values(models, compile_formula(phi))[-1], unparse(phi)
 
 
+def first_difference(value, other):
+    """The lowest (slot, lane) where two values of a node differ, or None:
+    a failure names it, where pytest cannot print 2^16-bit vectors."""
+    for k, (a, b) in enumerate(zip(value, other)):
+        if a != b:
+            return k, ((a ^ b) & -(a ^ b)).bit_length() - 1
+    return None
+
+
 def test_one_frame_family_walk_matches_each_formula_alone(monkeypatch):
     """valid_on_frame on an 8-world frame gives each formula over p and q
     the 2^16 lanes of all its valuations; the family walked at once on that
@@ -231,7 +240,9 @@ def test_one_frame_family_walk_matches_each_formula_alone(monkeypatch):
     nodes, roots = compile_formulas(formulas)
     family = truth(nodes, *stack)
     for phi, r, (_, alone) in zip(formulas, roots, walks):
-        assert family[r] == alone, unparse(phi)
+        assert len(family[r]) == len(alone) == 8, unparse(phi)
+        differs = first_difference(family[r], alone)
+        assert differs is None, (unparse(phi), "(slot, lane)", differs)
 
 
 def test_relational_family_walk_matches_each_denotation():
@@ -721,9 +732,9 @@ def test_fusion_sweep_budget_matches_pair_major_loop(faults, monkeypatch):
 
 
 def test_finite_sweeps_peak_memory():
-    """A stack holds at most 2^16 lanes and the Com products are read once:
-    under 2 MB traced for fusion-axioms and 1 MB for finite-com at their
-    command-line defaults."""
+    """A stack holds at most 2^16 lanes: under 2 MB traced for
+    fusion-axioms and 1 MB for finite-com, which keeps its draws and their
+    products, at their command-line defaults."""
     for sweep, bound in ((fusion_soundness_sweep, 2_000_000), (finite_com_sweep, 1_000_000)):
         sweep(0, n_pairs=2)
         tracemalloc.start()
